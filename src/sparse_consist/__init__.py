@@ -23,11 +23,8 @@ from .solvers import (
     SolverConfig,
     SolverTrace,
     inner_projection,
-    ista_step,
     kkt_residual,
-    momentum_next,
     objective,
-    result_from_json_obj,
     result_to_json_obj,
     soft_threshold,
     solve_admm_constrained,
@@ -55,47 +52,3 @@ from .experiments import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmmConfig",
-    "AggregateResult",
-    "Dictionary",
-    "DimensionMismatch",
-    "DistortionKind",
-    "DistortionSpec",
-    "ExperimentSpec",
-    "InnerProjectionError",
-    "IntervalSet",
-    "PointSummary",
-    "SIGNAL_SEED_OFFSET",
-    "SolverConfig",
-    "SolverTrace",
-    "TimingRow",
-    "clip",
-    "gen_dictionary",
-    "gen_sparse_signal",
-    "inner_projection",
-    "ista_step",
-    "kkt_residual",
-    "make_rng",
-    "momentum_next",
-    "objective",
-    "power_iteration_gram",
-    "quantize_midriser",
-    "result_from_json_obj",
-    "result_to_json_obj",
-    "run_experiment",
-    "run_timing_table",
-    "sample_support",
-    "snr_db",
-    "soft_threshold",
-    "solve_admm_constrained",
-    "solve_fista",
-    "solve_fista_bpdn",
-    "solve_ista",
-    "standard_normal",
-    "write_plot_data",
-    "write_results_csv",
-    "write_timing_csv",
-    "__version__",
-]

@@ -146,9 +146,9 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _run_bench(args, grid: tuple) -> int:
+def _sweep_spec(args, grid: tuple) -> ExperimentSpec:
     solver_config, admm_config = _solver_configs(args)
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         n=args.n,
         m=args.m,
         k_sparse=args.k_sparse,
@@ -160,7 +160,10 @@ def _run_bench(args, grid: tuple) -> int:
         admm_config=admm_config,
         shared_dictionary=args.shared_dictionary,
     )
-    result = run_experiment(spec, jobs=args.jobs)
+
+
+def _run_bench(args, grid: tuple) -> int:
+    result = run_experiment(_sweep_spec(args, grid), jobs=args.jobs)
     write_results_csv(args.out, result, include_times=args.times)
     print(f"wrote {args.out}")
     if args.plot_data:
@@ -187,21 +190,9 @@ def cmd_dequant_bench(args) -> int:
 
 
 def cmd_timing(args) -> int:
-    solver_config, admm_config = _solver_configs(args)
     clip_thetas = _parse_float_grid(args.clip_grid)
     quant_bits = _parse_int_grid(args.quant_grid)
-    base = ExperimentSpec(
-        n=args.n,
-        m=args.m,
-        k_sparse=args.k_sparse,
-        trials=args.trials,
-        seed=args.seed,
-        distortion_grid=tuple(DistortionSpec.clipping(t) for t in clip_thetas),
-        solvers=_parse_solvers(args.solvers),
-        solver_config=solver_config,
-        admm_config=admm_config,
-        shared_dictionary=args.shared_dictionary,
-    )
+    base = _sweep_spec(args, tuple(DistortionSpec.clipping(t) for t in clip_thetas))
     rows = run_timing_table(base, clip_thetas, quant_bits, jobs=args.jobs)
     write_timing_csv(args.out, rows)
     print(f"wrote {args.out}")

@@ -101,13 +101,19 @@ def gen_sparse_signal(seed: int, dictionary: Dictionary, k_sparse: int):
 
 
 def snr_db(reference, estimate) -> float:
-    """Reconstruction quality 20 log10(||ref|| / ||ref - est||), capped at 300."""
+    """Reconstruction quality 20 log10(||ref|| / ||ref - est||), capped at 300.
+
+    A non-finite estimate raises ValueError rather than scoring NaN, so a
+    diverged solve is counted as a failed run instead of poisoning a mean.
+    """
     reference = _as_vector(reference, "reference")
     estimate = _as_vector(estimate, "estimate")
     if reference.shape != estimate.shape:
         raise DimensionMismatch(
             f"reference has length {reference.shape[0]}, estimate {estimate.shape[0]}"
         )
+    if not np.isfinite(estimate).all():
+        raise ValueError("estimate has non-finite entries")
     ref_norm = float(np.linalg.norm(reference))
     if ref_norm == 0.0:
         raise ValueError("reference signal must be nonzero")

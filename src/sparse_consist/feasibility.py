@@ -11,7 +11,6 @@ follow directly from the projection difference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,35 +164,3 @@ class IntervalSet:
         x = _as_vector(x)
         self._check_length(x)
         return bool(((x >= self.lower - tol) & (x <= self.upper + tol)).all())
-
-    # ------------------------------------------------------------------
-    # serialization
-
-    def to_json_obj(self) -> dict:
-        """JSON-safe representation; infinities become "inf"/"-inf" strings."""
-        return {
-            "lower": [_encode_bound(v) for v in self.lower],
-            "upper": [_encode_bound(v) for v in self.upper],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "IntervalSet":
-        lower = [_decode_bound(v) for v in obj["lower"]]
-        upper = [_decode_bound(v) for v in obj["upper"]]
-        return cls(np.array(lower), np.array(upper))
-
-
-def _encode_bound(v: float):
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return float(v)
-
-
-def _decode_bound(v) -> float:
-    if isinstance(v, str):
-        if v == "inf":
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        raise ValueError(f"unrecognized bound encoding {v!r}")
-    return float(v)

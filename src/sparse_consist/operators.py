@@ -152,15 +152,14 @@ class Dictionary:
             )
         return self._matrix.T @ r
 
-    def estimate_lipschitz(self, tol: float = 1e-6, max_iter: int = 500) -> float:
+    def estimate_lipschitz(self) -> float:
         """Padded estimate of the gradient Lipschitz constant ``||D.T D||_2``.
 
         Computed once by deterministic power iteration, multiplied by
-        ``LIPSCHITZ_SAFETY``, then cached; later calls return the cached value
-        regardless of arguments.
+        ``LIPSCHITZ_SAFETY``, then cached; later calls return the cached value.
         """
         if self._lipschitz is None:
-            lam, _ = power_iteration_gram(self._matrix, tol=tol, max_iter=max_iter)
+            lam, _ = power_iteration_gram(self._matrix)
             self._lipschitz = LIPSCHITZ_SAFETY * lam
         return self._lipschitz
 

@@ -32,8 +32,6 @@ from .operators import Dictionary
 # objectives at or near zero do not stall the stopping rule.
 _REL_CHANGE_FLOOR = 1e-12
 
-Callback = Callable[[int, np.ndarray, float], None]
-
 
 def soft_threshold(rho: float, v: np.ndarray) -> np.ndarray:
     """Proximal map of ``rho * ||.||_1``: shrink each entry toward zero by rho."""
@@ -50,16 +48,6 @@ def objective(dictionary: Dictionary, iset: IntervalSet, alpha, lam: float) -> f
     z = dictionary.synthesize(alpha)
     alpha = np.asarray(alpha, dtype=np.float64)
     return 0.5 * iset.distance_sq(z) + lam * float(np.abs(alpha).sum())
-
-
-def ista_step(
-    dictionary: Dictionary, iset: IntervalSet, alpha, step: float, lam: float
-) -> np.ndarray:
-    """One forward-backward update from ``alpha`` with the given step size."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    z = dictionary.synthesize(alpha)
-    g = dictionary.correlate(z - iset.project(z))
-    return soft_threshold(step * lam, alpha - step * g)
 
 
 def kkt_residual(dictionary: Dictionary, iset: IntervalSet, alpha, lam: float) -> float:
@@ -121,7 +109,6 @@ class SolverTrace:
     iterations_run: int
     converged: bool
     wall_time_seconds: float
-    per_iteration_seconds: np.ndarray
     kkt_residual_final: float
 
 
@@ -178,7 +165,6 @@ def _fista_engine(
     dictionary: Dictionary,
     residual: Callable[[np.ndarray], np.ndarray],
     config: SolverConfig,
-    callback: Callback | None = None,
     momentum: bool = True,
 ):
     """Forward-backward loop shared by all proximal solvers.
@@ -209,12 +195,10 @@ def _fista_engine(
     r0 = residual(z_alpha)
     obj = 0.5 * float(r0 @ r0) + lam * float(np.abs(alpha).sum())
     objectives: list[float] = []
-    per_iter: list[float] = []
     converged = False
     flat_streak = 0
 
-    for k in range(config.max_iter):
-        it_start = perf_counter()
+    for _ in range(config.max_iter):
         g = dictionary.correlate(residual(z_u))
         alpha_next = soft_threshold(thresh, u - step * g)
         z_next = dictionary.synthesize(alpha_next)
@@ -236,9 +220,6 @@ def _fista_engine(
         alpha = alpha_next
         z_alpha = z_next
 
-        per_iter.append(perf_counter() - it_start)
-        if callback is not None:
-            callback(k, alpha, obj)
         if abs(obj - obj_prev) / max(obj_prev, _REL_CHANGE_FLOOR) < config.rel_tol:
             flat_streak += 1
             if flat_streak >= 2:
@@ -251,10 +232,9 @@ def _fista_engine(
     final_grad = dictionary.correlate(residual(z_alpha))
     trace = SolverTrace(
         objective_per_iter=np.asarray(objectives),
-        iterations_run=len(per_iter),
+        iterations_run=len(objectives),
         converged=converged,
         wall_time_seconds=wall,
-        per_iteration_seconds=np.asarray(per_iter),
         kkt_residual_final=_kkt_from_gradient(final_grad, alpha, lam),
     )
     return alpha, trace
@@ -264,13 +244,12 @@ def solve_ista(
     dictionary: Dictionary,
     iset: IntervalSet,
     config: SolverConfig = SolverConfig(),
-    callback: Callback | None = None,
 ):
     """Plain forward-backward iteration; monotone in the objective for the
     default step size."""
     _check_set_length(dictionary, iset)
     return _fista_engine(
-        dictionary, lambda z: z - iset.project(z), config, callback, momentum=False
+        dictionary, lambda z: z - iset.project(z), config, momentum=False
     )
 
 
@@ -278,12 +257,11 @@ def solve_fista(
     dictionary: Dictionary,
     iset: IntervalSet,
     config: SolverConfig = SolverConfig(),
-    callback: Callback | None = None,
 ):
     """Accelerated forward-backward iteration with the standard t-sequence."""
     _check_set_length(dictionary, iset)
     return _fista_engine(
-        dictionary, lambda z: z - iset.project(z), config, callback, momentum=True
+        dictionary, lambda z: z - iset.project(z), config, momentum=True
     )
 
 
@@ -291,7 +269,6 @@ def solve_fista_bpdn(
     dictionary: Dictionary,
     target,
     config: SolverConfig = SolverConfig(),
-    callback: Callback | None = None,
 ):
     """Accelerated solver for ``0.5 * ||D alpha - x||^2 + lam * ||alpha||_1``.
 
@@ -305,7 +282,7 @@ def solve_fista_bpdn(
             f"target has shape {target.shape}, expected ({dictionary.n},)"
         )
     return _fista_engine(
-        dictionary, lambda z: z - target, config, callback, momentum=True
+        dictionary, lambda z: z - target, config, momentum=True
     )
 
 
@@ -351,7 +328,6 @@ def solve_admm_constrained(
     dictionary: Dictionary,
     iset: IntervalSet,
     config: AdmmConfig = AdmmConfig(),
-    callback: Callback | None = None,
 ):
     """Constrained baseline: minimize ``||alpha||_1`` over ``D alpha in C``.
 
@@ -376,12 +352,10 @@ def solve_admm_constrained(
     best_beta = beta
     best_r_pri = math.inf
     l1_history: list[float] = []
-    per_iter: list[float] = []
     converged = False
     last_residual = math.inf
 
-    for k in range(config.max_iter):
-        it_start = perf_counter()
+    for _ in range(config.max_iter):
         alpha = soft_threshold(1.0 / rho, beta - v)
         beta_prev = beta
         try:
@@ -411,21 +385,16 @@ def solve_admm_constrained(
             best_r_pri = r_pri
             best_beta = beta
 
-        l1 = float(np.abs(alpha).sum())
-        l1_history.append(l1)
-        per_iter.append(perf_counter() - it_start)
-        if callback is not None:
-            callback(k, beta, l1)
+        l1_history.append(float(np.abs(alpha).sum()))
         if r_pri <= eps_pri and s_dual <= eps_dual:
             converged = True
             break
 
     trace = SolverTrace(
         objective_per_iter=np.asarray(l1_history),
-        iterations_run=len(per_iter),
+        iterations_run=len(l1_history),
         converged=converged,
         wall_time_seconds=perf_counter() - t_start,
-        per_iteration_seconds=np.asarray(per_iter),
         kkt_residual_final=last_residual,
     )
     return best_beta, trace
@@ -442,16 +411,3 @@ def result_to_json_obj(alpha: np.ndarray, trace: SolverTrace) -> dict:
         "wall_time_s": float(trace.wall_time_seconds),
         "kkt_residual": float(trace.kkt_residual_final),
     }
-
-
-def result_from_json_obj(obj: dict):
-    """Inverse of :func:`result_to_json_obj`; returns ``(alpha, fields)``."""
-    alpha = np.asarray(obj["alpha"], dtype=np.float64)
-    fields = {
-        "objective": float(obj["objective"]),
-        "iterations": int(obj["iterations"]),
-        "converged": bool(obj["converged"]),
-        "wall_time_s": float(obj["wall_time_s"]),
-        "kkt_residual": float(obj["kkt_residual"]),
-    }
-    return alpha, fields

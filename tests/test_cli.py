@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ def _clean_seed_env(monkeypatch):
 
 
 SMALL = ["--n", "16", "--m", "32", "--k-sparse", "3"]
+
+DATA = Path(__file__).parent / "data"
 
 
 def _gen(tmp_path, *extra):
@@ -245,6 +248,33 @@ def test_bench_reruns_are_byte_identical(tmp_path):
         rc = main(args + ["--out", str(tmp_path / name)])
         assert rc == 0
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, extra, golden",
+    [
+        ("declip-bench", [], "declip_bench_small.csv"),
+        ("dequant-bench", ["--shared-dictionary"], "dequant_bench_small.csv"),
+    ],
+    ids=["declip", "dequant"],
+)
+def test_bench_csv_matches_committed_golden_file(tmp_path, command, extra, golden):
+    """Pins the sweep CSVs byte for byte across refactors.
+
+    The golden files were written by ``sparse-consist <command> --n 16 --m 32
+    --k-sparse 3 --trials 3 --seed 7 --jobs 1`` (plus ``--shared-dictionary``
+    for dequant-bench). Regenerate them only together with a CHANGES.md entry
+    that states a deliberate change in floating-point rounding, such as
+    replacing the matrix-vector products with matrix-matrix ones; any other
+    difference is a behaviour change.
+    """
+    out = tmp_path / golden
+    rc = main([
+        command, *SMALL, "--trials", "3", "--seed", "7", "--jobs", "1",
+        *extra, "--out", str(out),
+    ])
+    assert rc == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_module_entry_point_runs_as_subprocess(tmp_path):

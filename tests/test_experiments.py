@@ -136,6 +136,8 @@ def test_snr_validates_inputs():
         snr_db(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         snr_db(np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError):
+        snr_db(np.ones(3), np.array([1.0, np.nan, 1.0]))
 
 
 # ----------------------------------------------------------------------
@@ -207,6 +209,22 @@ def test_failed_solver_runs_are_counted_not_raised(monkeypatch):
     assert result.failure_count == 3 * 2 * 2  # trials x points x solvers
     for s in result.per_point:
         assert s.failures == 3
+        assert math.isnan(s.mean_snr_db)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_solves_are_counted_as_failures():
+    # step 1.0 is far above 1/L here, so every relaxed solve blows up
+    spec = _small_spec(
+        n=12,
+        m=24,
+        distortion_grid=(DistortionSpec.clipping(0.5),),
+        solver_config=SolverConfig(step=1.0, max_iter=400),
+    )
+    result = run_experiment(spec, jobs=1)
+    assert result.failure_count == spec.trials * len(spec.solvers)
+    for s in result.per_point:
+        assert s.failures == spec.trials
         assert math.isnan(s.mean_snr_db)
 
 

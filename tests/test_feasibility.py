@@ -1,6 +1,5 @@
-"""Interval-set geometry: constructors, projection, distance, serialization."""
+"""Interval-set geometry: constructors, projection, distance."""
 
-import json
 import math
 
 import numpy as np
@@ -213,21 +212,3 @@ def test_gradient_matches_finite_differences():
             fd = (0.5 * s.distance_sq(x + e) - 0.5 * s.distance_sq(x - e)) / (2 * h)
             assert fd == pytest.approx(g[j], abs=5e-6)
 
-
-# ----------------------------------------------------------------------
-# serialization
-
-
-def test_json_round_trip_preserves_infinities():
-    s = IntervalSet(
-        np.array([-math.inf, 0.25, 1.0]), np.array([0.0, 0.25, math.inf])
-    )
-    blob = json.dumps(s.to_json_obj())
-    back = IntervalSet.from_json_obj(json.loads(blob))
-    np.testing.assert_array_equal(back.lower, s.lower)
-    np.testing.assert_array_equal(back.upper, s.upper)
-
-
-def test_json_decode_rejects_unknown_strings():
-    with pytest.raises(ValueError):
-        IntervalSet.from_json_obj({"lower": ["oo"], "upper": [1.0]})

@@ -15,6 +15,7 @@ from sparse_consist import (
     power_iteration_gram,
     quantize_midriser,
 )
+from sparse_consist import operators
 from sparse_consist.operators import LIPSCHITZ_SAFETY
 
 
@@ -183,13 +184,22 @@ def test_adjoint_identity():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def test_lipschitz_estimate_upper_bounds_true_value_and_caches():
+def test_lipschitz_estimate_upper_bounds_true_value_and_caches(monkeypatch):
+    calls = []
+    original = operators.power_iteration_gram
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(operators, "power_iteration_gram", counting)
     d = _random_dictionary(2)
     exact = float(np.linalg.eigvalsh(d.matrix.T @ d.matrix)[-1])
     est = d.estimate_lipschitz()
     assert exact <= est <= LIPSCHITZ_SAFETY * exact * (1 + 1e-6)
-    # later calls return the cached value even with different arguments
-    assert d.estimate_lipschitz(tol=0.5, max_iter=1) == est
+    # a later call returns the cached value without another power iteration
+    assert d.estimate_lipschitz() == est
+    assert len(calls) == 1
 
 
 def test_ridge_factor_solves_the_ridge_system():

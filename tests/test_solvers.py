@@ -1,5 +1,6 @@
 """Proximal solvers: proximal map, engine mechanics, optimality measures."""
 
+import json
 import math
 
 import numpy as np
@@ -14,17 +15,15 @@ from sparse_consist import (
     SolverConfig,
     gen_dictionary,
     gen_sparse_signal,
-    ista_step,
     kkt_residual,
-    momentum_next,
     objective,
-    result_from_json_obj,
     result_to_json_obj,
     soft_threshold,
     solve_fista,
     solve_fista_bpdn,
     solve_ista,
 )
+from sparse_consist.solvers import momentum_next
 
 
 def _clip_instance(seed, n=12, m=24, k=3, theta=0.5):
@@ -32,6 +31,13 @@ def _clip_instance(seed, n=12, m=24, k=3, theta=0.5):
     _, x = gen_sparse_signal(seed + SIGNAL_SEED_OFFSET, dic, k)
     dspec = DistortionSpec.clipping(theta)
     return dic, dspec.preimage(dspec.apply(x)), x
+
+
+def _one_ista_step(dic, iset, alpha, step, lam):
+    """A single forward-backward update from ``alpha``."""
+    cfg = SolverConfig(lam=lam, step=step, max_iter=1, rel_tol=0.0, alpha0=alpha)
+    out, _ = solve_ista(dic, iset, cfg)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +109,7 @@ def test_ista_step_fixes_the_solution():
     # zero is feasible and the l1 term keeps the iterate at zero
     dic = Dictionary(np.eye(3))
     iset = IntervalSet(-np.ones(3), np.ones(3))
-    out = ista_step(dic, iset, np.zeros(3), step=1.0, lam=0.1)
+    out = _one_ista_step(dic, iset, np.zeros(3), step=1.0, lam=0.1)
     np.testing.assert_array_equal(out, np.zeros(3))
 
 
@@ -114,7 +120,7 @@ def test_ista_step_decreases_the_objective():
     step = 1.0 / dic.estimate_lipschitz()
     for _ in range(10):
         alpha = rng.standard_normal(dic.m)
-        after = ista_step(dic, iset, alpha, step, lam)
+        after = _one_ista_step(dic, iset, alpha, step, lam)
         assert objective(dic, iset, after, lam) <= objective(dic, iset, alpha, lam) + 1e-12
 
 
@@ -134,7 +140,7 @@ def test_first_accelerated_iterate_is_a_plain_step():
     cfg = SolverConfig(lam=1e-2, max_iter=1, rel_tol=0.0)
     alpha_fista, _ = solve_fista(dic, iset, cfg)
     step = 1.0 / dic.estimate_lipschitz()
-    expected = ista_step(dic, iset, np.zeros(dic.m), step, 1e-2)
+    expected = _one_ista_step(dic, iset, np.zeros(dic.m), step, 1e-2)
     np.testing.assert_array_equal(alpha_fista, expected)
 
 
@@ -144,7 +150,6 @@ def test_trace_shape_matches_iterations_run():
         _, trace = solver(dic, iset, SolverConfig(max_iter=7, rel_tol=0.0))
         assert trace.iterations_run == 7
         assert len(trace.objective_per_iter) == 7
-        assert len(trace.per_iteration_seconds) == 7
         assert not trace.converged
         assert trace.wall_time_seconds >= 0.0
 
@@ -154,15 +159,6 @@ def test_converged_run_reports_convergence():
     _, trace = solve_fista(dic, iset, SolverConfig(max_iter=100000, rel_tol=1e-9))
     assert trace.converged
     assert trace.iterations_run < 100000
-
-
-def test_callback_sees_every_iteration():
-    dic, iset, _ = _clip_instance(27)
-    seen = []
-    cfg = SolverConfig(max_iter=5, rel_tol=0.0)
-    _, trace = solve_fista(dic, iset, cfg, callback=lambda k, a, f: seen.append((k, f)))
-    assert [k for k, _ in seen] == [0, 1, 2, 3, 4]
-    np.testing.assert_array_equal([f for _, f in seen], trace.objective_per_iter)
 
 
 def test_warm_start_is_used_and_validated():
@@ -279,10 +275,10 @@ def test_solver_config_validation():
 def test_result_json_round_trip():
     dic, iset, _ = _clip_instance(46)
     alpha, trace = solve_fista(dic, iset, SolverConfig(max_iter=20, rel_tol=0.0))
-    obj = result_to_json_obj(alpha, trace)
-    back_alpha, fields = result_from_json_obj(obj)
-    np.testing.assert_array_equal(back_alpha, alpha)
+    fields = json.loads(json.dumps(result_to_json_obj(alpha, trace)))
+    np.testing.assert_array_equal(fields["alpha"], alpha)
     assert fields["iterations"] == trace.iterations_run
     assert fields["converged"] == trace.converged
     assert fields["objective"] == trace.objective_per_iter[-1]
     assert fields["kkt_residual"] == trace.kkt_residual_final
+    assert fields["wall_time_s"] == trace.wall_time_seconds
