@@ -34,6 +34,7 @@ from .operators import Dictionary, DistortionSpec
 from .solvers import (
     AdmmConfig,
     SolverConfig,
+    json_float,
     result_to_json_obj,
     solve_admm_constrained,
     solve_fista,
@@ -136,10 +137,10 @@ def cmd_solve(args) -> int:
         coeffs, trace = solve_admm_constrained(dictionary, iset, admm_config)
 
     obj = result_to_json_obj(coeffs, trace)
-    obj["x_hat"] = [float(v) for v in dictionary.synthesize(coeffs)]
-    _atomic_write_text(args.out, json.dumps(obj, indent=2) + "\n")
+    obj["x_hat"] = [json_float(v) for v in dictionary.synthesize(coeffs)]
+    _atomic_write_text(args.out, json.dumps(obj, indent=2, allow_nan=False) + "\n")
     print(f"{args.solver}: {trace.iterations_run} iterations, "
-          f"converged={trace.converged}, wrote {args.out}")
+          f"converged={trace.converged} ({trace.stop_reason}), wrote {args.out}")
     if args.strict and not trace.converged:
         print("error: solver did not converge", file=sys.stderr)
         return 1

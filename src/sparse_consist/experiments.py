@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -158,7 +159,13 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class PointSummary:
-    """Aggregate of one (distortion point, solver) cell across trials."""
+    """Aggregate of one (distortion point, solver) cell across trials.
+
+    ``failure_reasons`` holds ``(reason, count)`` pairs sorted by reason,
+    with counts summing to ``failures``. A reason is ``non_finite`` for a
+    solve whose trace stopped on that reason, otherwise the type name of
+    the exception the solve (or the SNR of its estimate) raised.
+    """
 
     distortion: DistortionSpec
     solver: str
@@ -167,6 +174,7 @@ class PointSummary:
     mean_iterations: float
     mean_wall_time_s: float
     failures: int
+    failure_reasons: tuple
 
 
 @dataclass(frozen=True)
@@ -191,13 +199,17 @@ def _run_single_solver(dictionary, iset, name, spec):
 def _trial_worker(args):
     """One full trial: generate data, sweep the grid, run every solver.
 
-    Top level so it pickles into worker processes. Returns, per grid point,
-    the input SNR and per-solver (snr, iterations, wall_time, ok) tuples;
-    a solver that raises is recorded as failed and the sweep continues.
+    Top level so it pickles into worker processes. ``args`` is
+    ``(spec, trial, dictionary)``, where dictionary is the sweep's shared
+    one or None to draw this trial's own. Returns, per grid point, the input
+    SNR and per-solver (snr, iterations, wall_time, failure) tuples, with
+    failure None for a good run. A solve whose trace stopped on
+    ``non_finite`` is recorded as failed with that reason, one that raises
+    with its exception's type name, and the sweep continues.
     """
-    spec, trial = args
-    dict_seed = spec.seed if spec.shared_dictionary else spec.seed + trial
-    dictionary = gen_dictionary(dict_seed, spec.n, spec.m)
+    spec, trial, dictionary = args
+    if dictionary is None:
+        dictionary = gen_dictionary(spec.seed + trial, spec.n, spec.m)
     _, x = gen_sparse_signal(spec.seed + trial + SIGNAL_SEED_OFFSET, dictionary, spec.k_sparse)
 
     points = []
@@ -209,15 +221,18 @@ def _trial_worker(args):
         for name in spec.solvers:
             try:
                 coeffs, trace = _run_single_solver(dictionary, iset, name, spec)
+                if trace.stop_reason == "non_finite":
+                    cells[name] = (0.0, 0.0, 0.0, "non_finite")
+                    continue
                 x_hat = dictionary.synthesize(coeffs)
                 cells[name] = (
                     snr_db(x, x_hat),
                     float(trace.iterations_run),
                     float(trace.wall_time_seconds),
-                    True,
+                    None,
                 )
-            except Exception:
-                cells[name] = (0.0, 0.0, 0.0, False)
+            except Exception as exc:
+                cells[name] = (0.0, 0.0, 0.0, type(exc).__name__)
         points.append((input_snr, cells))
     return points
 
@@ -226,11 +241,15 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
     """Run the sweep and reduce across trials in index order.
 
     ``jobs`` sizes the process pool; 1 runs everything in this process. The
-    reduction is identical either way.
+    reduction is identical either way. With ``spec.shared_dictionary`` the
+    dictionary is drawn once here and handed to every trial, so the values
+    it caches (the Lipschitz estimate, the ridge factors) carry over from
+    trial to trial within a process.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    work = [(spec, t) for t in range(spec.trials)]
+    shared = gen_dictionary(spec.seed, spec.n, spec.m) if spec.shared_dictionary else None
+    work = [(spec, t, shared) for t in range(spec.trials)]
     if jobs == 1 or spec.trials == 1:
         trial_results = [_trial_worker(w) for w in work]
     else:
@@ -244,7 +263,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
         input_means.append(float(np.mean([trial_results[t][p][0] for t in range(spec.trials)])))
         for name in spec.solvers:
             cells = [trial_results[t][p][1][name] for t in range(spec.trials)]
-            good = [c for c in cells if c[3]]
+            good = [c for c in cells if c[3] is None]
+            reasons = Counter(c[3] for c in cells if c[3] is not None)
             failures = len(cells) - len(good)
             total_failures += failures
             if good:
@@ -264,6 +284,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
                     mean_iterations=mean_iters,
                     mean_wall_time_s=mean_time,
                     failures=failures,
+                    failure_reasons=tuple(sorted(reasons.items())),
                 )
             )
     return AggregateResult(

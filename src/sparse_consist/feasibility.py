@@ -138,11 +138,12 @@ class IntervalSet:
     # ------------------------------------------------------------------
     # geometry
 
-    def project(self, x) -> np.ndarray:
-        """Euclidean projection onto the set: an element-wise clamp."""
+    def project(self, x, out=None) -> np.ndarray:
+        """Euclidean projection onto the set: an element-wise clamp, written
+        into ``out`` when it is given (``out`` may be ``x`` itself)."""
         x = _as_vector(x)
         self._check_length(x)
-        return np.minimum(self.upper, np.maximum(self.lower, x))
+        return np.minimum(self.upper, np.maximum(self.lower, x, out=out), out=out)
 
     def distance_sq(self, x) -> float:
         """Squared Euclidean distance from ``x`` to the set."""
@@ -151,11 +152,10 @@ class IntervalSet:
         diff = x - self.project(x)
         return float(diff @ diff)
 
-    def grad_half_distance_sq(self, x) -> np.ndarray:
-        """Gradient of ``0.5 * distance_sq`` at ``x``, i.e. ``x - project(x)``."""
-        x = _as_vector(x)
-        self._check_length(x)
-        return x - self.project(x)
+    def grad_half_distance_sq(self, x, out=None) -> np.ndarray:
+        """Gradient of ``0.5 * distance_sq`` at ``x``, i.e. ``x - project(x)``,
+        written into ``out`` when it is given (``out`` must not be ``x``)."""
+        return np.subtract(x, self.project(x, out=out), out=out)
 
     def contains(self, x, tol: float = 0.0) -> bool:
         """Whether ``x`` lies in the set, loosened by ``tol`` on each side."""

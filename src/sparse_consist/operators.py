@@ -134,23 +134,25 @@ class Dictionary:
         """Number of atoms (columns)."""
         return self._matrix.shape[1]
 
-    def synthesize(self, alpha) -> np.ndarray:
-        """Signal-domain image ``D @ alpha`` of a coefficient vector."""
+    def synthesize(self, alpha, out=None) -> np.ndarray:
+        """Signal-domain image ``D @ alpha`` of a coefficient vector, written
+        into ``out`` when it is given."""
         alpha = _as_vector(alpha, "alpha")
         if alpha.shape[0] != self.m:
             raise DimensionMismatch(
                 f"coefficient vector of length {alpha.shape[0]} does not match {self.m} atoms"
             )
-        return self._matrix @ alpha
+        return np.matmul(self._matrix, alpha, out=out)
 
-    def correlate(self, r) -> np.ndarray:
-        """Adjoint application ``D.T @ r``."""
+    def correlate(self, r, out=None) -> np.ndarray:
+        """Adjoint application ``D.T @ r``, written into ``out`` when it is
+        given."""
         r = _as_vector(r, "r")
         if r.shape[0] != self.n:
             raise DimensionMismatch(
                 f"signal vector of length {r.shape[0]} does not match signal dimension {self.n}"
             )
-        return self._matrix.T @ r
+        return np.matmul(self._matrix.T, r, out=out)
 
     def estimate_lipschitz(self) -> float:
         """Padded estimate of the gradient Lipschitz constant ``||D.T D||_2``.

@@ -8,10 +8,9 @@ target
 where d is the Euclidean distance to the feasibility box C; the baseline
 instead minimizes ||alpha||_1 subject to D alpha in C. ISTA and FISTA share
 one engine so that their iterates are comparable operation for operation,
-and the classic basis-pursuit denoising solver reuses the same engine with
-the residual ``D alpha - x``. When C is a single point the two residuals
-coincide exactly, so the general solver and the denoising solver produce
-identical iterates on that input.
+and the classic basis-pursuit denoising solver is the same engine on the
+singleton set ``{x}``: projecting onto a point returns that point exactly,
+so its residual is ``D alpha - x`` to the last bit.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -35,7 +33,7 @@ _REL_CHANGE_FLOOR = 1e-12
 
 def soft_threshold(rho: float, v: np.ndarray) -> np.ndarray:
     """Proximal map of ``rho * ||.||_1``: shrink each entry toward zero by rho."""
-    return np.sign(v) * np.maximum(np.abs(v) - rho, 0.0)
+    return np.copysign(np.maximum(np.abs(v) - rho, 0.0), v)
 
 
 def momentum_next(t: float) -> float:
@@ -103,13 +101,21 @@ class SolverConfig:
 class SolverTrace:
     """Per-run diagnostics. ``objective_per_iter[k]`` is the objective after
     iteration k+1, so its length equals ``iterations_run``; the initial
-    point's objective is not recorded."""
+    point's objective is not recorded.
+
+    ``stop_reason`` says why the run ended: ``converged``, ``max_iter``
+    (budget spent), ``non_finite`` (the proximal solvers' objective
+    overflowed or turned NaN; the run stops at that iterate) or
+    ``inner_stall`` (the constrained baseline's nested projection missed its
+    tolerance; the run returns its best point so far).
+    """
 
     objective_per_iter: np.ndarray
     iterations_run: int
     converged: bool
     wall_time_seconds: float
     kkt_residual_final: float
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -161,83 +167,123 @@ def _initial_alpha(dictionary: Dictionary, config: SolverConfig) -> np.ndarray:
     return alpha
 
 
+def _shrink(v: np.ndarray, thresh: float, mag: np.ndarray) -> float:
+    """Soft-threshold v in place by thresh and return the l1 norm of the result.
+
+    Computes ``copysign(max(|v| - thresh, 0), v)``, the same values as
+    :func:`soft_threshold`, and sums the magnitudes before the sign goes
+    back on, so the l1 norm costs no second pass of ``abs``.
+    """
+    np.abs(v, out=mag)
+    mag -= thresh
+    np.maximum(mag, 0.0, out=mag)
+    l1 = float(mag.sum())
+    np.copysign(mag, v, out=v)
+    return l1
+
+
 def _fista_engine(
     dictionary: Dictionary,
-    residual: Callable[[np.ndarray], np.ndarray],
+    iset: IntervalSet,
     config: SolverConfig,
     momentum: bool = True,
 ):
     """Forward-backward loop shared by all proximal solvers.
 
-    ``residual(z)`` is the gradient of the smooth term with respect to the
-    synthesized signal z; the smooth term itself is ``0.5 * ||residual(z)||^2``
-    for every residual used here, which keeps the objective bookkeeping in one
-    place. Runs two matvecs per iteration: the extrapolated synthesis point is
+    The smooth term is ``0.5 * ||r||^2`` with the residual ``r = z - P(z)``
+    of the synthesized signal z, and r is also its gradient with respect to
+    z. Runs two matvecs per iteration: the extrapolated synthesis point is
     recombined from cached images of the last two iterates rather than
-    resynthesized.
+    resynthesized. Without momentum the extrapolated point is the last
+    iterate, whose residual was already computed for the objective, so a
+    plain run projects once per iteration and an accelerated run twice. All
+    vectors live in buffers allocated once and updated in place.
 
     The relative objective-change test must pass on two consecutive
     iterations before the run is declared converged. With momentum the
     objective ripples, and a single near-flat step is routinely just the
-    crest of a ripple far from stationarity; two in a row is a stall.
+    crest of a ripple far from stationarity; two in a row is a stall. A
+    non-finite objective stops the run at once and its iterate is returned.
     """
     lam = config.lam
     step = config.step if config.step is not None else 1.0 / dictionary.estimate_lipschitz()
     thresh = step * lam
 
     t_start = perf_counter()
-    alpha = _initial_alpha(dictionary, config)
-    z_alpha = dictionary.synthesize(alpha)
-    u = alpha
-    z_u = z_alpha
+    m = dictionary.m
+    # A state vector holds an iterate and its image, [alpha | D alpha], so
+    # one extrapolation updates both. The next state and residual swap with
+    # the current ones each iteration; g holds the gradient, mag the
+    # magnitudes of the shrunk iterate.
+    cur, nxt = np.empty(m + dictionary.n), np.empty(m + dictionary.n)
+    alpha, z = cur[:m], cur[m:]
+    alpha_next, z_next = nxt[:m], nxt[m:]
+    alpha[:] = _initial_alpha(dictionary, config)
+    dictionary.synthesize(alpha, out=z)
+    r, r_next = np.empty_like(z), np.empty_like(z)
+    iset.grad_half_distance_sq(z, out=r)
+    g, mag = np.empty_like(alpha), np.empty_like(alpha)
+    obj = 0.5 * float(r @ r) + lam * float(np.abs(alpha).sum())
+    if momentum:
+        ext = cur.copy()
+        u, z_u, r_u = ext[:m], ext[m:], np.empty_like(r)
+    else:
+        u, r_u = alpha, r
     t = 1.0
-
-    r0 = residual(z_alpha)
-    obj = 0.5 * float(r0 @ r0) + lam * float(np.abs(alpha).sum())
     objectives: list[float] = []
-    converged = False
+    stop_reason = "max_iter"
     flat_streak = 0
 
     for _ in range(config.max_iter):
-        g = dictionary.correlate(residual(z_u))
-        alpha_next = soft_threshold(thresh, u - step * g)
-        z_next = dictionary.synthesize(alpha_next)
+        if momentum:
+            iset.grad_half_distance_sq(z_u, out=r_u)
+        dictionary.correlate(r_u, out=g)
+        g *= step
+        np.subtract(u, g, out=alpha_next)
+        l1 = _shrink(alpha_next, thresh, mag)
+        dictionary.synthesize(alpha_next, out=z_next)
+        iset.grad_half_distance_sq(z_next, out=r_next)
 
-        r = residual(z_next)
         obj_prev = obj
-        obj = 0.5 * float(r @ r) + lam * float(np.abs(alpha_next).sum())
+        obj = 0.5 * float(r_next @ r_next) + lam * l1
         objectives.append(obj)
 
         if momentum:
             t_next = momentum_next(t)
             w = (t - 1.0) / t_next
-            u = alpha_next + w * (alpha_next - alpha)
-            z_u = z_next + w * (z_next - z_alpha)
+            np.subtract(nxt, cur, out=ext)
+            ext *= w
+            ext += nxt
             t = t_next
-        else:
-            u = alpha_next
-            z_u = z_next
-        alpha = alpha_next
-        z_alpha = z_next
+        cur, nxt = nxt, cur
+        alpha, alpha_next = alpha_next, alpha
+        z, z_next = z_next, z
+        r, r_next = r_next, r
+        if not momentum:
+            u, r_u = alpha, r
 
+        if not math.isfinite(obj):
+            stop_reason = "non_finite"
+            break
         if abs(obj - obj_prev) / max(obj_prev, _REL_CHANGE_FLOOR) < config.rel_tol:
             flat_streak += 1
             if flat_streak >= 2:
-                converged = True
+                stop_reason = "converged"
                 break
         else:
             flat_streak = 0
 
     wall = perf_counter() - t_start
-    final_grad = dictionary.correlate(residual(z_alpha))
+    final_grad = dictionary.correlate(r, out=g)
     trace = SolverTrace(
         objective_per_iter=np.asarray(objectives),
         iterations_run=len(objectives),
-        converged=converged,
+        converged=stop_reason == "converged",
         wall_time_seconds=wall,
         kkt_residual_final=_kkt_from_gradient(final_grad, alpha, lam),
+        stop_reason=stop_reason,
     )
-    return alpha, trace
+    return alpha.copy(), trace
 
 
 def solve_ista(
@@ -248,9 +294,7 @@ def solve_ista(
     """Plain forward-backward iteration; monotone in the objective for the
     default step size."""
     _check_set_length(dictionary, iset)
-    return _fista_engine(
-        dictionary, lambda z: z - iset.project(z), config, momentum=False
-    )
+    return _fista_engine(dictionary, iset, config, momentum=False)
 
 
 def solve_fista(
@@ -260,9 +304,7 @@ def solve_fista(
 ):
     """Accelerated forward-backward iteration with the standard t-sequence."""
     _check_set_length(dictionary, iset)
-    return _fista_engine(
-        dictionary, lambda z: z - iset.project(z), config, momentum=True
-    )
+    return _fista_engine(dictionary, iset, config, momentum=True)
 
 
 def solve_fista_bpdn(
@@ -272,18 +314,16 @@ def solve_fista_bpdn(
 ):
     """Accelerated solver for ``0.5 * ||D alpha - x||^2 + lam * ||alpha||_1``.
 
-    Identical, iterate for iterate, to :func:`solve_fista` on the singleton
-    set ``{x}``: projecting onto a point returns that point, so the residuals
-    agree to the last bit.
+    This is :func:`solve_fista` on the singleton set ``{x}``: projecting
+    onto a point gives ``min(x, max(x, z)) = x`` exactly, so the residual is
+    ``D alpha - x`` to the last bit. The target must be finite.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (dictionary.n,):
         raise DimensionMismatch(
             f"target has shape {target.shape}, expected ({dictionary.n},)"
         )
-    return _fista_engine(
-        dictionary, lambda z: z - target, config, momentum=True
-    )
+    return _fista_engine(dictionary, IntervalSet.singleton(target), config, momentum=True)
 
 
 def inner_projection(
@@ -352,7 +392,7 @@ def solve_admm_constrained(
     best_beta = beta
     best_r_pri = math.inf
     l1_history: list[float] = []
-    converged = False
+    stop_reason = "max_iter"
     last_residual = math.inf
 
     for _ in range(config.max_iter):
@@ -369,6 +409,7 @@ def solve_admm_constrained(
             )
         except InnerProjectionError:
             beta = beta_prev
+            stop_reason = "inner_stall"
             break
         v = v + alpha - beta
 
@@ -387,27 +428,37 @@ def solve_admm_constrained(
 
         l1_history.append(float(np.abs(alpha).sum()))
         if r_pri <= eps_pri and s_dual <= eps_dual:
-            converged = True
+            stop_reason = "converged"
             break
 
     trace = SolverTrace(
         objective_per_iter=np.asarray(l1_history),
         iterations_run=len(l1_history),
-        converged=converged,
+        converged=stop_reason == "converged",
         wall_time_seconds=perf_counter() - t_start,
         kkt_residual_final=last_residual,
+        stop_reason=stop_reason,
     )
     return best_beta, trace
 
 
+def json_float(value) -> float | None:
+    """A float for a JSON document: ``None`` (null) when it is not finite,
+    since JSON has no NaN or infinity."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def result_to_json_obj(alpha: np.ndarray, trace: SolverTrace) -> dict:
-    """JSON-friendly summary of a solver run."""
+    """JSON-friendly summary of a solver run; non-finite numbers become
+    null, so the result of a diverged run is still valid JSON."""
     history = trace.objective_per_iter
     return {
-        "alpha": [float(a) for a in alpha],
-        "objective": float(history[-1]) if len(history) else float("nan"),
+        "alpha": [json_float(a) for a in alpha],
+        "objective": json_float(history[-1]) if len(history) else None,
         "iterations": int(trace.iterations_run),
         "converged": bool(trace.converged),
+        "stop_reason": trace.stop_reason,
         "wall_time_s": float(trace.wall_time_seconds),
-        "kkt_residual": float(trace.kkt_residual_final),
+        "kkt_residual": json_float(trace.kkt_residual_final),
     }

@@ -153,6 +153,7 @@ def test_trace_records_l1_history():
     assert len(trace.objective_per_iter) == 30
     assert (trace.objective_per_iter >= 0.0).all()
     assert not trace.converged
+    assert trace.stop_reason == "max_iter"
 
 
 def test_unreachable_inner_budget_reports_failure_not_exception():
@@ -160,6 +161,7 @@ def test_unreachable_inner_budget_reports_failure_not_exception():
     config = AdmmConfig(inner_iters=1, inner_tol=1e-14, max_iter=50)
     beta, trace = solve_admm_constrained(dic, iset, config)
     assert not trace.converged
+    assert trace.stop_reason == "inner_stall"
     assert trace.iterations_run == len(trace.objective_per_iter)
     assert beta.shape == (dic.m,)
 

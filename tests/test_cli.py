@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparse_consist import AdmmConfig, SolverConfig, cli
 from sparse_consist.cli import ENV_SEED, main
 
 
@@ -93,6 +94,37 @@ def test_strict_solve_flags_non_convergence(tmp_path):
         "--out", str(tmp_path / "r.json"),
     ])
     assert rc == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_writes_valid_json_for_a_diverged_run(tmp_path, monkeypatch):
+    out = tmp_path / "instance"
+    rc = main(["gen", "--n", "12", "--m", "24", "--k-sparse", "3", "--seed", "5",
+               "--distortion", "clip:0.5", "--out", str(out)])
+    assert rc == 0
+    # the CLI has no step flag; a step far above 1/L makes the solve diverge
+    monkeypatch.setattr(
+        cli, "_solver_configs",
+        lambda args: (SolverConfig(step=1.0, max_iter=400), AdmmConfig()),
+    )
+    result = tmp_path / "result.json"
+    rc = main([
+        "solve",
+        "--dict", str(out / "dictionary.bin"),
+        "--observation", str(out / "y.txt"),
+        "--distortion", "clip:0.5",
+        "--out", str(result),
+    ])
+    assert rc == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    blob = json.loads(result.read_text(), parse_constant=reject)
+    assert blob["stop_reason"] == "non_finite"
+    assert blob["converged"] is False
+    assert blob["objective"] is None
+    assert len(blob["x_hat"]) == 12
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Benchmark protocol: generators, SNR metric, sweeps, result files."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import sparse_consist.experiments as exps
+import sparse_consist.operators as operators
 from sparse_consist import (
     SIGNAL_SEED_OFFSET,
+    AdmmConfig,
     DimensionMismatch,
     DistortionSpec,
     ExperimentSpec,
@@ -200,6 +203,49 @@ def test_shared_dictionary_reuses_the_base_draw():
     assert result.per_point[0].std_snr_db > 0.0
 
 
+def test_shared_dictionary_is_built_and_estimated_once_per_sweep(monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(exps, "gen_dictionary")
+    counted(operators, "power_iteration_gram")
+    run_experiment(_small_spec(shared_dictionary=True, trials=3))
+    assert calls == {"gen_dictionary": 1, "power_iteration_gram": 1}
+    calls.clear()
+    run_experiment(_small_spec(trials=3))
+    assert calls == {"gen_dictionary": 3, "power_iteration_gram": 3}
+
+
+def test_inner_stall_counts_as_a_success(monkeypatch):
+    reasons = []
+    original = exps.solve_admm_constrained
+
+    def recording(*args, **kwargs):
+        coeffs, trace = original(*args, **kwargs)
+        reasons.append(trace.stop_reason)
+        return coeffs, trace
+
+    monkeypatch.setattr(exps, "solve_admm_constrained", recording)
+    spec = _small_spec(
+        trials=1,
+        distortion_grid=(DistortionSpec.clipping(0.5),),
+        solvers=("admm",),
+        admm_config=AdmmConfig(inner_iters=1, inner_tol=1e-14, max_iter=50),
+    )
+    result = run_experiment(spec)
+    assert reasons == ["inner_stall"]
+    assert result.failure_count == 0
+    assert result.per_point[0].failure_reasons == ()
+
+
 def test_failed_solver_runs_are_counted_not_raised(monkeypatch):
     def explode(dictionary, iset, name, spec):
         raise RuntimeError("forced failure")
@@ -209,6 +255,7 @@ def test_failed_solver_runs_are_counted_not_raised(monkeypatch):
     assert result.failure_count == 3 * 2 * 2  # trials x points x solvers
     for s in result.per_point:
         assert s.failures == 3
+        assert s.failure_reasons == (("RuntimeError", 3),)
         assert math.isnan(s.mean_snr_db)
 
 
@@ -225,6 +272,7 @@ def test_diverged_solves_are_counted_as_failures():
     assert result.failure_count == spec.trials * len(spec.solvers)
     for s in result.per_point:
         assert s.failures == spec.trials
+        assert s.failure_reasons == (("non_finite", spec.trials),)
         assert math.isnan(s.mean_snr_db)
 
 

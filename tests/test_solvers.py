@@ -13,6 +13,7 @@ from sparse_consist import (
     DistortionSpec,
     IntervalSet,
     SolverConfig,
+    SolverTrace,
     gen_dictionary,
     gen_sparse_signal,
     kkt_residual,
@@ -151,6 +152,7 @@ def test_trace_shape_matches_iterations_run():
         assert trace.iterations_run == 7
         assert len(trace.objective_per_iter) == 7
         assert not trace.converged
+        assert trace.stop_reason == "max_iter"
         assert trace.wall_time_seconds >= 0.0
 
 
@@ -158,6 +160,7 @@ def test_converged_run_reports_convergence():
     dic, iset, _ = _clip_instance(26)
     _, trace = solve_fista(dic, iset, SolverConfig(max_iter=100000, rel_tol=1e-9))
     assert trace.converged
+    assert trace.stop_reason == "converged"
     assert trace.iterations_run < 100000
 
 
@@ -282,3 +285,22 @@ def test_result_json_round_trip():
     assert fields["objective"] == trace.objective_per_iter[-1]
     assert fields["kkt_residual"] == trace.kkt_residual_final
     assert fields["wall_time_s"] == trace.wall_time_seconds
+    assert fields["stop_reason"] == "max_iter"
+
+
+def test_non_finite_numbers_become_json_null():
+    trace = SolverTrace(
+        objective_per_iter=np.array([1.0, np.nan]),
+        iterations_run=2,
+        converged=False,
+        wall_time_seconds=0.5,
+        kkt_residual_final=np.inf,
+        stop_reason="non_finite",
+    )
+    alpha = np.array([np.nan, -np.inf, 2.5])
+    # allow_nan=False raises on any NaN or infinity left in the object
+    fields = json.loads(json.dumps(result_to_json_obj(alpha, trace), allow_nan=False))
+    assert fields["alpha"] == [None, None, 2.5]
+    assert fields["objective"] is None
+    assert fields["kkt_residual"] is None
+    assert fields["iterations"] == 2
