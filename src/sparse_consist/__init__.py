@@ -12,7 +12,6 @@ from .errors import DimensionMismatch, InnerProjectionError
 from .feasibility import IntervalSet
 from .operators import (
     Dictionary,
-    DistortionKind,
     DistortionSpec,
     clip,
     power_iteration_gram,
@@ -42,6 +41,7 @@ from .experiments import (
     gen_sparse_signal,
     make_rng,
     run_experiment,
+    run_solver,
     run_timing_table,
     sample_support,
     snr_db,

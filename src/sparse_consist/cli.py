@@ -20,26 +20,20 @@ import numpy as np
 from .errors import DimensionMismatch
 from .experiments import (
     SIGNAL_SEED_OFFSET,
+    SOLVER_NAMES,
     ExperimentSpec,
     _atomic_write_text,
     gen_dictionary,
     gen_sparse_signal,
     run_experiment,
+    run_solver,
     run_timing_table,
     write_plot_data,
     write_results_csv,
     write_timing_csv,
 )
 from .operators import Dictionary, DistortionSpec
-from .solvers import (
-    AdmmConfig,
-    SolverConfig,
-    json_float,
-    result_to_json_obj,
-    solve_admm_constrained,
-    solve_fista,
-    solve_ista,
-)
+from .solvers import AdmmConfig, SolverConfig, json_float, result_to_json_obj
 
 ENV_SEED = "SPARSE_CONSIST_SEED"
 
@@ -67,22 +61,12 @@ def _parse_solvers(text: str) -> tuple:
     return names
 
 
-def _parse_float_grid(text: str) -> tuple:
-    try:
-        values = tuple(float(s) for s in text.split(",") if s.strip())
-    except ValueError:
-        raise ValueError(f"malformed grid {text!r}") from None
-    if not values:
+def _parse_grid(kind: str, text: str) -> tuple:
+    """The distortions ``kind:v`` for each entry v of a comma list."""
+    grid = tuple(DistortionSpec.parse(f"{kind}:{v}") for v in text.split(",") if v.strip())
+    if not grid:
         raise ValueError("empty grid")
-    return values
-
-
-def _parse_int_grid(text: str) -> tuple:
-    values = _parse_float_grid(text)
-    for v in values:
-        if v != int(v):
-            raise ValueError(f"bit depths must be integers, got {v!r}")
-    return tuple(int(v) for v in values)
+    return grid
 
 
 def _solver_configs(args) -> tuple[SolverConfig, AdmmConfig]:
@@ -94,8 +78,8 @@ def _solver_configs(args) -> tuple[SolverConfig, AdmmConfig]:
 
 def cmd_gen(args) -> int:
     out = args.out
-    os.makedirs(out, exist_ok=True)
     dspec = DistortionSpec.parse(args.distortion)
+    os.makedirs(out, exist_ok=True)
     dictionary = gen_dictionary(args.seed, args.n, args.m)
     alpha, x = gen_sparse_signal(args.seed + SIGNAL_SEED_OFFSET, dictionary, args.k_sparse)
     y = dspec.apply(x)
@@ -127,15 +111,7 @@ def cmd_solve(args) -> int:
     y = _load_vector(args.observation)
     dspec = DistortionSpec.parse(args.distortion)
     iset = dspec.preimage(y)
-    config, admm_config = _solver_configs(args)
-
-    if args.solver == "ista":
-        coeffs, trace = solve_ista(dictionary, iset, config)
-    elif args.solver == "fista":
-        coeffs, trace = solve_fista(dictionary, iset, config)
-    else:
-        coeffs, trace = solve_admm_constrained(dictionary, iset, admm_config)
-
+    coeffs, trace = run_solver(args.solver, dictionary, iset, *_solver_configs(args))
     obj = result_to_json_obj(coeffs, trace)
     obj["x_hat"] = [json_float(v) for v in dictionary.synthesize(coeffs)]
     _atomic_write_text(args.out, json.dumps(obj, indent=2, allow_nan=False) + "\n")
@@ -178,23 +154,22 @@ def _run_bench(args, grid: tuple) -> int:
 
 
 def cmd_declip_bench(args) -> int:
-    thetas = _parse_float_grid(args.grid)
-    for theta in thetas:
-        if not 0.0 < theta:
-            raise ValueError(f"clip level must be positive, got {theta}")
-    return _run_bench(args, tuple(DistortionSpec.clipping(t) for t in thetas))
+    return _run_bench(args, _parse_grid("clip", args.grid))
 
 
 def cmd_dequant_bench(args) -> int:
-    bits = _parse_int_grid(args.grid)
-    return _run_bench(args, tuple(DistortionSpec.quantization(b) for b in bits))
+    return _run_bench(args, _parse_grid("quant", args.grid))
 
 
 def cmd_timing(args) -> int:
-    clip_thetas = _parse_float_grid(args.clip_grid)
-    quant_bits = _parse_int_grid(args.quant_grid)
-    base = _sweep_spec(args, tuple(DistortionSpec.clipping(t) for t in clip_thetas))
-    rows = run_timing_table(base, clip_thetas, quant_bits, jobs=args.jobs)
+    clip_grid = _parse_grid("clip", args.clip_grid)
+    quant_grid = _parse_grid("quant", args.quant_grid)
+    rows = run_timing_table(
+        _sweep_spec(args, clip_grid),
+        [d.param for d in clip_grid],
+        [d.param for d in quant_grid],
+        jobs=args.jobs,
+    )
     write_timing_csv(args.out, rows)
     print(f"wrote {args.out}")
     for r in rows:
@@ -260,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dictionary file (.csv as text, anything else as binary)")
     p.add_argument("--observation", required=True, help="observed signal, one value per line")
     p.add_argument("--distortion", required=True, help="clip:THETA or quant:NBITS or none")
-    p.add_argument("--solver", choices=("ista", "fista", "admm"), default="fista")
+    p.add_argument("--solver", choices=SOLVER_NAMES, default="fista")
     _add_solver_flags(p)
     p.add_argument("--out", default="result.json", help="output JSON path")
     p.add_argument("--strict", action="store_true",

@@ -186,14 +186,16 @@ class AggregateResult:
     failure_count: int
 
 
-def _run_single_solver(dictionary, iset, name, spec):
+def run_solver(name, dictionary, iset, solver_config, admm_config):
+    """Run the solver called ``name`` (one of ``SOLVER_NAMES``): ``ista``
+    and ``fista`` with ``solver_config``, ``admm`` with ``admm_config``."""
     if name == "ista":
-        return solve_ista(dictionary, iset, spec.solver_config)
+        return solve_ista(dictionary, iset, solver_config)
     if name == "fista":
-        return solve_fista(dictionary, iset, spec.solver_config)
+        return solve_fista(dictionary, iset, solver_config)
     if name == "admm":
-        return solve_admm_constrained(dictionary, iset, spec.admm_config)
-    raise ValueError(f"unknown solver {name!r}")
+        return solve_admm_constrained(dictionary, iset, admm_config)
+    raise ValueError(f"unknown solver {name!r}, expected one of {SOLVER_NAMES}")
 
 
 def _trial_worker(args):
@@ -220,7 +222,9 @@ def _trial_worker(args):
         cells = {}
         for name in spec.solvers:
             try:
-                coeffs, trace = _run_single_solver(dictionary, iset, name, spec)
+                coeffs, trace = run_solver(
+                    name, dictionary, iset, spec.solver_config, spec.admm_config
+                )
                 if trace.stop_reason == "non_finite":
                     cells[name] = (0.0, 0.0, 0.0, "non_finite")
                     continue
@@ -244,13 +248,19 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
     reduction is identical either way. With ``spec.shared_dictionary`` the
     dictionary is drawn once here and handed to every trial, so the values
     it caches (the Lipschitz estimate, the ridge factors) carry over from
-    trial to trial within a process.
+    trial to trial within a process. For a pool, the Lipschitz estimate is
+    cached before the work items are pickled, so no worker repeats it; the
+    M x M ridge factors are not, as they would add M*M*8 bytes to every
+    work item.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    in_process = jobs == 1 or spec.trials == 1
     shared = gen_dictionary(spec.seed, spec.n, spec.m) if spec.shared_dictionary else None
+    if shared is not None and not in_process:
+        shared.estimate_lipschitz()
     work = [(spec, t, shared) for t in range(spec.trials)]
-    if jobs == 1 or spec.trials == 1:
+    if in_process:
         trial_results = [_trial_worker(w) for w in work]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, spec.trials)) as pool:
@@ -364,6 +374,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _sweep_param(dspec: DistortionSpec) -> float:
+    # The identity distortion has no parameter; its column reads nan.
+    return math.nan if dspec.param is None else dspec.param
+
+
 def write_results_csv(path, result: AggregateResult, include_times: bool = False) -> None:
     """Emit the sweep CSV. Wall times are measurements, so by default the
     time column holds NA to keep repeated runs byte-identical; pass
@@ -376,7 +391,7 @@ def write_results_csv(path, result: AggregateResult, include_times: bool = False
                 [
                     s.distortion.task,
                     s.solver,
-                    _fmt(s.distortion.param),
+                    _fmt(_sweep_param(s.distortion)),
                     _fmt(s.mean_snr_db),
                     _fmt(s.std_snr_db),
                     _fmt(s.mean_iterations),
@@ -401,9 +416,9 @@ def write_plot_data(path, result: AggregateResult) -> list:
     written = []
     for name in solvers:
         rows = [s for s in result.per_point if s.solver == name]
-        rows.sort(key=lambda s: s.distortion.param)
+        rows.sort(key=lambda s: _sweep_param(s.distortion))
         lines = ["# distortion_param mean_snr_db"]
-        lines += [f"{_fmt(s.distortion.param)} {_fmt(s.mean_snr_db)}" for s in rows]
+        lines += [f"{_fmt(_sweep_param(s.distortion))} {_fmt(s.mean_snr_db)}" for s in rows]
         target = path.with_name(f"{path.stem}_{name}{path.suffix or '.dat'}")
         _atomic_write_text(target, "\n".join(lines) + "\n")
         written.append(target)

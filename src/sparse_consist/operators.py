@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -214,112 +213,87 @@ class Dictionary:
         return cls(mat)
 
 
-class DistortionKind(Enum):
-    CLIP = "clip"
-    QUANTIZE_MIDRISER = "quant"
-    NONE = "none"
+# The task name each distortion kind poses, keyed by the kind's CLI spelling.
+_TASKS = {"clip": "declipping", "quant": "dequantization", "none": "none"}
 
 
 @dataclass(frozen=True)
 class DistortionSpec:
     """Parameters of the forward distortion applied to a clean signal.
 
-    Use the :meth:`clipping`, :meth:`quantization`, or :meth:`identity`
-    constructors. ``apply`` runs the distortion and ``preimage`` builds the
-    feasibility set of all signals consistent with an observation.
+    ``kind`` is ``clip``, ``quant`` or ``none``; ``param`` is the symmetric
+    clip level, the bit depth, or None for ``none``. ``apply`` runs the
+    distortion and ``preimage`` builds the feasibility set of all signals
+    consistent with an observation. Asymmetric clipping is available
+    through :func:`clip` and :meth:`IntervalSet.from_clipping`.
     """
 
-    kind: DistortionKind
-    theta_plus: float | None = None
-    theta_minus: float | None = None
-    n_bits: int | None = None
+    kind: str
+    param: float | None = None
 
     def __post_init__(self):
-        if self.kind is DistortionKind.CLIP:
-            if self.theta_plus is None or self.theta_minus is None:
-                raise ValueError("clipping requires both thresholds")
-            if not self.theta_plus > self.theta_minus:
-                raise ValueError("clipping requires theta_plus > theta_minus")
-        elif self.kind is DistortionKind.QUANTIZE_MIDRISER:
-            if self.n_bits is None or int(self.n_bits) < 1:
-                raise ValueError("quantization requires n_bits >= 1")
+        if self.kind not in _TASKS:
+            raise ValueError(f"unknown distortion kind {self.kind!r}")
+        if (self.param is None) != (self.kind == "none"):
+            need = "takes no" if self.kind == "none" else "requires a"
+            raise ValueError(f"distortion {self.kind!r} {need} parameter")
+        if self.param is None:
+            return
+        param = float(self.param)
+        object.__setattr__(self, "param", param)
+        if self.kind == "clip" and not param > 0.0:
+            raise ValueError(f"clip level must be positive, got {param}")
+        if self.kind == "quant" and not (param.is_integer() and param >= 1.0):
+            raise ValueError(f"bit depth must be an integer >= 1, got {param}")
 
     @classmethod
-    def clipping(cls, theta_plus: float, theta_minus: float | None = None) -> "DistortionSpec":
-        """Clipper at the given thresholds; symmetric (-theta, theta) if only
-        one level is given."""
-        theta_plus = float(theta_plus)
-        if theta_minus is None:
-            theta_minus = -theta_plus
-        return cls(DistortionKind.CLIP, theta_plus=theta_plus, theta_minus=float(theta_minus))
+    def clipping(cls, theta: float) -> "DistortionSpec":
+        """Symmetric clipper at ``(-theta, theta)``."""
+        return cls("clip", theta)
 
     @classmethod
     def quantization(cls, n_bits: int) -> "DistortionSpec":
-        return cls(DistortionKind.QUANTIZE_MIDRISER, n_bits=int(n_bits))
+        return cls("quant", n_bits)
 
     @classmethod
     def identity(cls) -> "DistortionSpec":
-        return cls(DistortionKind.NONE)
+        return cls("none")
 
     @property
     def delta(self) -> float:
         """Quantizer bin width ``2**(1 - n_bits)``; exact in binary floating point."""
-        if self.kind is not DistortionKind.QUANTIZE_MIDRISER:
+        if self.kind != "quant":
             raise ValueError("delta is only defined for the quantizer")
-        return 2.0 ** (1 - int(self.n_bits))
+        return 2.0 ** (1 - int(self.param))
 
     @property
     def task(self) -> str:
-        return {
-            DistortionKind.CLIP: "declipping",
-            DistortionKind.QUANTIZE_MIDRISER: "dequantization",
-            DistortionKind.NONE: "none",
-        }[self.kind]
-
-    @property
-    def param(self) -> float:
-        """Scalar sweep parameter: the clip level or the bit depth."""
-        if self.kind is DistortionKind.CLIP:
-            return float(self.theta_plus)
-        if self.kind is DistortionKind.QUANTIZE_MIDRISER:
-            return float(self.n_bits)
-        return float("nan")
+        return _TASKS[self.kind]
 
     def apply(self, x) -> np.ndarray:
-        if self.kind is DistortionKind.CLIP:
-            return clip(x, self.theta_plus, self.theta_minus)
-        if self.kind is DistortionKind.QUANTIZE_MIDRISER:
-            return quantize_midriser(x, self.n_bits)
+        if self.kind == "clip":
+            return clip(x, self.param, -self.param)
+        if self.kind == "quant":
+            return quantize_midriser(x, self.param)
         return _as_vector(x).copy()
 
     def preimage(self, y) -> IntervalSet:
-        if self.kind is DistortionKind.CLIP:
-            return IntervalSet.from_clipping(y, self.theta_plus, self.theta_minus)
-        if self.kind is DistortionKind.QUANTIZE_MIDRISER:
+        if self.kind == "clip":
+            return IntervalSet.from_clipping(y, self.param, -self.param)
+        if self.kind == "quant":
             return IntervalSet.from_quantization(y, self.delta, 1.0)
         return IntervalSet.singleton(y)
 
     def label(self) -> str:
-        if self.kind is DistortionKind.CLIP:
-            return f"clip:{self.theta_plus:g}"
-        if self.kind is DistortionKind.QUANTIZE_MIDRISER:
-            return f"quant:{self.n_bits}"
-        return "none"
+        """The CLI descriptor of this spec, as :meth:`parse` reads it."""
+        return self.kind if self.param is None else f"{self.kind}:{self.param:g}"
 
     @classmethod
     def parse(cls, text: str) -> "DistortionSpec":
         """Parse a CLI-style descriptor: ``clip:0.6``, ``quant:4``, or ``none``."""
-        text = text.strip()
-        if text == "none":
-            return cls.identity()
-        head, sep, tail = text.partition(":")
-        if not sep:
-            raise ValueError(f"malformed distortion {text!r}, expected kind:param")
-        if head == "clip":
-            return cls.clipping(float(tail))
-        if head == "quant":
-            value = float(tail)
-            if value != int(value):
-                raise ValueError(f"bit depth must be an integer, got {tail!r}")
-            return cls.quantization(int(value))
-        raise ValueError(f"unknown distortion kind {head!r}")
+        kind, sep, tail = text.strip().partition(":")
+        try:
+            param = float(tail) if sep else None
+        except ValueError:
+            raise ValueError(f"malformed distortion {text!r}, expected kind:param") from None
+        return cls(kind, param)

@@ -87,21 +87,21 @@ class SolverConfig:
     alpha0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("lam must be non-negative")
-        if self.step is not None and not self.step > 0.0:
-            raise ValueError("step must be positive when given")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step must be finite and positive when given, got {self.step}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.rel_tol < 0.0:
-            raise ValueError("rel_tol must be non-negative")
+        if not self.rel_tol >= 0.0:
+            raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
 
 
 @dataclass
 class SolverTrace:
     """Per-run diagnostics. ``objective_per_iter[k]`` is the objective after
-    iteration k+1, so its length equals ``iterations_run``; the initial
-    point's objective is not recorded.
+    iteration k+1, and its length is ``iterations_run``; the initial point's
+    objective is not recorded.
 
     ``stop_reason`` says why the run ended: ``converged``, ``max_iter``
     (budget spent), ``non_finite`` (the proximal solvers' objective
@@ -111,11 +111,17 @@ class SolverTrace:
     """
 
     objective_per_iter: np.ndarray
-    iterations_run: int
-    converged: bool
     wall_time_seconds: float
     kkt_residual_final: float
     stop_reason: str
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.objective_per_iter)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 @dataclass(frozen=True)
@@ -138,13 +144,13 @@ class AdmmConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.rho_outer <= 0.0 or self.rho_inner <= 0.0:
+        if not (self.rho_outer > 0.0 and self.rho_inner > 0.0):
             raise ValueError("penalty parameters must be positive")
         if self.inner_iters < 1 or self.max_iter < 1:
             raise ValueError("iteration budgets must be at least 1")
-        if self.inner_tol <= 0.0:
+        if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
+        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
             raise ValueError("tolerances must be non-negative")
 
 
@@ -277,8 +283,6 @@ def _fista_engine(
     final_grad = dictionary.correlate(r, out=g)
     trace = SolverTrace(
         objective_per_iter=np.asarray(objectives),
-        iterations_run=len(objectives),
-        converged=stop_reason == "converged",
         wall_time_seconds=wall,
         kkt_residual_final=_kkt_from_gradient(final_grad, alpha, lam),
         stop_reason=stop_reason,
@@ -433,8 +437,6 @@ def solve_admm_constrained(
 
     trace = SolverTrace(
         objective_per_iter=np.asarray(l1_history),
-        iterations_run=len(l1_history),
-        converged=stop_reason == "converged",
         wall_time_seconds=perf_counter() - t_start,
         kkt_residual_final=last_residual,
         stop_reason=stop_reason,

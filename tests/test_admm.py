@@ -186,3 +186,6 @@ def test_admm_config_validation():
         AdmmConfig(max_iter=0)
     with pytest.raises(ValueError):
         AdmmConfig(abs_tol=-1e-9)
+    for field in ("rho_outer", "rho_inner", "inner_tol", "abs_tol", "rel_tol"):
+        with pytest.raises(ValueError):
+            AdmmConfig(**{field: np.nan})

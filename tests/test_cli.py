@@ -227,13 +227,30 @@ def test_bench_times_flag_records_floats(tmp_path):
     assert float(last) > 0.0
 
 
-def test_bench_rejects_bad_grids(tmp_path):
+def test_bench_rejects_bad_grids(tmp_path, capsys):
     assert main(["declip-bench", *SMALL, "--grid", "0.0",
                  "--out", str(tmp_path / "b.csv")]) == 2
     assert main(["dequant-bench", *SMALL, "--grid", "2.5",
                  "--out", str(tmp_path / "b.csv")]) == 2
     assert main(["declip-bench", *SMALL, "--grid", "abc",
                  "--out", str(tmp_path / "b.csv")]) == 2
+    for argv in (
+        ["dequant-bench", "--grid", "inf"],
+        ["dequant-bench", "--grid", "nan"],
+        ["declip-bench", "--grid", "nan"],
+        ["timing", "--quant-grid", "inf"],
+    ):
+        assert main([*argv, *SMALL, "--out", str(tmp_path / "b.csv")]) == 2
+    assert main(["gen", "--distortion", "quant:inf", "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 8 and all(line.startswith("error: ") for line in err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nan_lambda_exits_2(tmp_path):
+    out = tmp_path / "b.csv"
+    assert main(["declip-bench", *SMALL, "--lambda", "nan", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_timing_table_csv(tmp_path):

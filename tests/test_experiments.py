@@ -1,6 +1,7 @@
 """Benchmark protocol: generators, SNR metric, sweeps, result files."""
 
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -224,6 +225,42 @@ def test_shared_dictionary_is_built_and_estimated_once_per_sweep(monkeypatch):
     assert calls == {"gen_dictionary": 3, "power_iteration_gram": 3}
 
 
+class _PicklingPool:
+    """In-process stand-in for the process pool: every work item makes the
+    same pickle round trip it makes on its way to a worker process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(pickle.loads(pickle.dumps(item))) for item in items]
+
+
+def test_pool_workers_reuse_the_shared_lipschitz_estimate(monkeypatch):
+    spec = _small_spec(shared_dictionary=True, trials=4)
+    serial = run_experiment(spec, jobs=1)
+    calls = []
+    original = operators.power_iteration_gram
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "power_iteration_gram", counted)
+    monkeypatch.setattr(exps, "ProcessPoolExecutor", _PicklingPool)
+    pooled = run_experiment(spec, jobs=2)
+    assert len(calls) == 1
+    assert [s.mean_snr_db for s in pooled.per_point] == [
+        s.mean_snr_db for s in serial.per_point
+    ]
+
+
 def test_inner_stall_counts_as_a_success(monkeypatch):
     reasons = []
     original = exps.solve_admm_constrained
@@ -247,10 +284,10 @@ def test_inner_stall_counts_as_a_success(monkeypatch):
 
 
 def test_failed_solver_runs_are_counted_not_raised(monkeypatch):
-    def explode(dictionary, iset, name, spec):
+    def explode(name, dictionary, iset, solver_config, admm_config):
         raise RuntimeError("forced failure")
 
-    monkeypatch.setattr(exps, "_run_single_solver", explode)
+    monkeypatch.setattr(exps, "run_solver", explode)
     result = run_experiment(_small_spec(), jobs=1)
     assert result.failure_count == 3 * 2 * 2  # trials x points x solvers
     for s in result.per_point:

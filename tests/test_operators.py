@@ -9,7 +9,6 @@ from scipy.linalg import cho_solve
 from sparse_consist import (
     Dictionary,
     DimensionMismatch,
-    DistortionKind,
     DistortionSpec,
     clip,
     power_iteration_gram,
@@ -258,8 +257,9 @@ def test_csv_import(tmp_path):
 
 def test_clipping_spec_symmetric_default():
     spec = DistortionSpec.clipping(0.6)
-    assert spec.theta_plus == 0.6
-    assert spec.theta_minus == -0.6
+    np.testing.assert_array_equal(
+        spec.apply(np.array([-0.9, -0.6, 0.1, 0.6, 0.9])), [-0.6, -0.6, 0.1, 0.6, 0.6]
+    )
     assert spec.task == "declipping"
     assert spec.param == 0.6
     assert spec.label() == "clip:0.6"
@@ -289,9 +289,9 @@ def test_delta_undefined_for_clipping():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        DistortionSpec(DistortionKind.CLIP, theta_plus=0.5)
+        DistortionSpec("clip")
     with pytest.raises(ValueError):
-        DistortionSpec.clipping(0.1, 0.5)
+        DistortionSpec.clipping(-0.5)
     with pytest.raises(ValueError):
         DistortionSpec.quantization(0)
 
@@ -302,7 +302,7 @@ def test_parse_round_trips():
 
 
 def test_parse_rejects_malformed_descriptors():
-    for text in ("clip", "quant:2.5", "blur:3", "clip:abc"):
+    for text in ("clip", "quant:2.5", "blur:3", "clip:abc", "quant:inf"):
         with pytest.raises(ValueError):
             DistortionSpec.parse(text)
 

@@ -273,6 +273,15 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=-1e-3)
+    for bad in (
+        dict(lam=math.nan),
+        dict(lam=math.inf),
+        dict(step=math.nan),
+        dict(step=math.inf),
+        dict(rel_tol=math.nan),
+    ):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
 
 
 def test_result_json_round_trip():
@@ -291,8 +300,6 @@ def test_result_json_round_trip():
 def test_non_finite_numbers_become_json_null():
     trace = SolverTrace(
         objective_per_iter=np.array([1.0, np.nan]),
-        iterations_run=2,
-        converged=False,
         wall_time_seconds=0.5,
         kkt_residual_final=np.inf,
         stop_reason="non_finite",
