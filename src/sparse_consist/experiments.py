@@ -198,20 +198,36 @@ def run_solver(name, dictionary, iset, solver_config, admm_config):
     raise ValueError(f"unknown solver {name!r}, expected one of {SOLVER_NAMES}")
 
 
+# The shared dictionary of the sweep a pool worker process serves, set once
+# per worker by _init_worker, so that work items need not carry it and the
+# values it caches carry over from trial to trial within the worker.
+_worker_dictionary: Dictionary | None = None
+
+
+def _init_worker(dictionary: Dictionary | None) -> None:
+    global _worker_dictionary
+    _worker_dictionary = dictionary
+
+
 def _trial_worker(args):
     """One full trial: generate data, sweep the grid, run every solver.
 
     Top level so it pickles into worker processes. ``args`` is
-    ``(spec, trial, dictionary)``, where dictionary is the sweep's shared
-    one or None to draw this trial's own. Returns, per grid point, the input
-    SNR and per-solver (snr, iterations, wall_time, failure) tuples, with
-    failure None for a good run. A solve whose trace stopped on
-    ``non_finite`` is recorded as failed with that reason, one that raises
-    with its exception's type name, and the sweep continues.
+    ``(spec, trial, dictionary)``. With ``spec.shared_dictionary`` the
+    dictionary is the sweep's shared one, or None in a pool worker, which
+    then uses the one its initializer received; otherwise it is None and
+    the trial draws its own. Returns, per grid point, the input SNR and
+    per-solver (snr, iterations, wall_time, failure) tuples, with failure
+    None for a good run. A solve whose trace stopped on ``non_finite`` is
+    recorded as failed with that reason, one that raises with its
+    exception's type name, and the sweep continues.
     """
     spec, trial, dictionary = args
     if dictionary is None:
-        dictionary = gen_dictionary(spec.seed + trial, spec.n, spec.m)
+        if spec.shared_dictionary:
+            dictionary = _worker_dictionary
+        else:
+            dictionary = gen_dictionary(spec.seed + trial, spec.n, spec.m)
     _, x = gen_sparse_signal(spec.seed + trial + SIGNAL_SEED_OFFSET, dictionary, spec.k_sparse)
 
     points = []
@@ -248,22 +264,22 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
     reduction is identical either way. With ``spec.shared_dictionary`` the
     dictionary is drawn once here and handed to every trial, so the values
     it caches (the Lipschitz estimate, the ridge factors) carry over from
-    trial to trial within a process. For a pool, the Lipschitz estimate is
-    cached before the work items are pickled, so no worker repeats it; the
-    M x M ridge factors are not, as they would add M*M*8 bytes to every
-    work item.
+    trial to trial within a process. A pool hands it to each worker once,
+    through the pool's initializer, so each worker computes those values at
+    most once and the work items stay small.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    in_process = jobs == 1 or spec.trials == 1
     shared = gen_dictionary(spec.seed, spec.n, spec.m) if spec.shared_dictionary else None
-    if shared is not None and not in_process:
-        shared.estimate_lipschitz()
-    work = [(spec, t, shared) for t in range(spec.trials)]
-    if in_process:
-        trial_results = [_trial_worker(w) for w in work]
+    if jobs == 1 or spec.trials == 1:
+        trial_results = [_trial_worker((spec, t, shared)) for t in range(spec.trials)]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, spec.trials)) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, spec.trials),
+            initializer=_init_worker,
+            initargs=(shared,),
+        ) as pool:
+            work = [(spec, t, None) for t in range(spec.trials)]
             trial_results = list(pool.map(_trial_worker, work))
 
     input_means = []

@@ -63,6 +63,10 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
     give identical estimates. Returns ``(estimate, history)`` where history
     holds the Rayleigh quotient of every iteration; for a symmetric positive
     semi-definite Gram matrix the history is non-decreasing.
+
+    Raises ValueError for a zero matrix, and for one whose Gram values
+    overflow (a non-finite quotient or norm) or underflow (no positive Gram
+    action from a nonzero matrix).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -83,6 +87,11 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
             lam = float(v @ w)  # Rayleigh quotient; v is unit-norm
             history.append(lam)
             norm_w = float(np.linalg.norm(w))
+            if not (math.isfinite(lam) and math.isfinite(norm_w)):
+                raise ValueError(
+                    "Gram values of the matrix overflow: power iteration met a "
+                    f"non-finite quotient or norm (largest entry {_max_abs(d):.3e})"
+                )
             if norm_w == 0.0 or lam <= 0.0:
                 failed = True  # start vector killed by the Gram action
                 break
@@ -92,10 +101,19 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
             lam_prev = lam
         if not failed:
             return lam, history
+    if d.any():
+        raise ValueError(
+            "Gram values of the matrix underflow: power iteration found no "
+            f"positive Gram action (largest entry {_max_abs(d):.3e})"
+        )
     raise ValueError(
         "power iteration found no positive Gram action; zero dictionary "
         "leaves the gradient step size undefined"
     )
+
+
+def _max_abs(matrix: np.ndarray) -> float:
+    return float(np.max(np.abs(matrix)))
 
 
 class Dictionary:
@@ -169,7 +187,10 @@ class Dictionary:
 
         This is the dominant setup cost of the nested-projection baseline;
         reusing it across all inner and outer iterations is what makes that
-        baseline usable at all.
+        baseline usable at all. The factor is F-contiguous, so BLAS reads it
+        without a copy. Raises ValueError when a value of ``rho * D.T @ D``
+        overflows, or when a nonzero atom's diagonal entry underflows, since
+        the ridge system then no longer holds the dictionary.
         """
         rho = float(rho)
         if rho <= 0.0:
@@ -178,8 +199,21 @@ class Dictionary:
         if factor is None:
             gram = self._matrix.T @ self._matrix
             gram *= rho
+            if not np.isfinite(gram).all():
+                raise ValueError(
+                    f"Gram values rho * D.T @ D overflow at rho={rho} "
+                    f"(largest entry of D {_max_abs(self._matrix):.3e})"
+                )
+            tiny = np.finfo(np.float64).tiny
+            if np.any((gram.diagonal() < tiny) & self._matrix.any(axis=0)):
+                raise ValueError(
+                    f"Gram values rho * D.T @ D underflow at rho={rho} "
+                    f"(largest entry of D {_max_abs(self._matrix):.3e})"
+                )
             gram[np.diag_indices(self.m)] += 1.0
-            factor = cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
+            # The Gram matrix is exactly symmetric, so its transpose is the
+            # same matrix in Fortran order, which LAPACK factors in place.
+            factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
             self._ridge_factors[rho] = factor
         return factor
 
@@ -285,8 +319,12 @@ class DistortionSpec:
         return IntervalSet.singleton(y)
 
     def label(self) -> str:
-        """The CLI descriptor of this spec, as :meth:`parse` reads it."""
-        return self.kind if self.param is None else f"{self.kind}:{self.param:g}"
+        """The CLI descriptor of this spec, as :meth:`parse` reads it back
+        exactly: the shortest round-trip form of the parameter, without a
+        trailing ``.0`` (``clip:0.6``, ``quant:4``)."""
+        if self.param is None:
+            return self.kind
+        return f"{self.kind}:{repr(self.param).removesuffix('.0')}"
 
     @classmethod
     def parse(cls, text: str) -> "DistortionSpec":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrsv
 
 from .errors import DimensionMismatch, InnerProjectionError
 from .feasibility import IntervalSet
@@ -330,6 +330,20 @@ def solve_fista_bpdn(
     return _fista_engine(dictionary, IntervalSet.singleton(target), config, momentum=True)
 
 
+def cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A x = rhs`` given scipy's Cholesky factor ``(c, lower)`` of A.
+
+    Two triangular matrix-vector solves (BLAS-2 ``trsv``) on the factor.
+    scipy's ``cho_solve`` runs LAPACK ``potrs`` instead, whose
+    matrix-matrix ``trsm`` is slower on a one-column right-hand side. rhs
+    is left unchanged. The factor must be F-contiguous, or each call
+    copies it.
+    """
+    c, lower = factor
+    y = dtrsv(c, rhs, lower=lower, trans=0 if lower else 1)
+    return dtrsv(c, y, lower=lower, trans=1 if lower else 0, overwrite_x=1)
+
+
 def inner_projection(
     dictionary: Dictionary,
     iset: IntervalSet,
@@ -344,24 +358,34 @@ def inner_projection(
     ``I + rho * D^T D`` with a box projection of the synthesized image. Stops
     early when the primal residual ``||D beta - z||`` falls below tol; raises
     :class:`InnerProjectionError` if after the full budget the residual is
-    still above 1e-3, since a point that far from the constraint would poison
-    the outer iteration silently.
+    still above 1e-3 or not a number, since a point that far from the
+    constraint would poison the outer iteration silently. The vectors of a
+    round live in buffers allocated once per call.
     """
     factor = dictionary.ridge_cho_factor(rho)
     z = iset.project(dictionary.synthesize(u))
     w = np.zeros(dictionary.n)
+    rhs = np.empty(dictionary.m)
+    image = np.empty(dictionary.n)
+    # z - w at the start of a round, image - z at its end
+    diff = np.empty(dictionary.n)
     beta = u
     res = math.inf
     for _ in range(iters):
-        rhs = u + rho * dictionary.correlate(z - w)
-        beta = cho_solve(factor, rhs, check_finite=False)
-        image = dictionary.synthesize(beta)
-        z = iset.project(image + w)
-        w += image - z
-        res = float(np.linalg.norm(image - z))
+        np.subtract(z, w, out=diff)
+        dictionary.correlate(diff, out=rhs)
+        rhs *= rho
+        rhs += u
+        beta = cho_solve(factor, rhs)
+        dictionary.synthesize(beta, out=image)
+        np.add(image, w, out=z)
+        iset.project(z, out=z)
+        np.subtract(image, z, out=diff)
+        w += diff
+        res = float(np.linalg.norm(diff))
         if res <= tol:
             break
-    if res > 1e-3:
+    if not res <= 1e-3:
         raise InnerProjectionError(
             f"projection stalled with primal residual {res:.3e} after {iters} rounds"
         )

@@ -1,7 +1,10 @@
 """Constrained baseline: nested projection and the outer splitting loop."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 from scipy.stats import ortho_group
 
@@ -18,6 +21,9 @@ from sparse_consist import (
     inner_projection,
     solve_admm_constrained,
 )
+from sparse_consist import solvers
+
+PROTOCOL = dict(n=256, m=512, k_sparse=16)
 
 
 def _clip_instance(seed, n=6, m=12, k=2, theta=0.5):
@@ -120,6 +126,126 @@ def test_projection_raises_when_budget_cannot_reach_the_set():
     far = IntervalSet.singleton(np.full(6, 50.0))
     with pytest.raises(InnerProjectionError):
         inner_projection(dic, far, np.zeros(10), rho=1.0, iters=1, tol=1e-14)
+
+
+def test_projection_of_a_non_finite_point_is_a_stall():
+    dic, iset = _clip_instance(68)
+    with pytest.raises(InnerProjectionError):
+        inner_projection(dic, iset, np.full(dic.m, np.nan), rho=1.0, iters=5, tol=1e-8)
+
+
+# ----------------------------------------------------------------------
+# the inner round against a plain reference
+
+
+def _reference_inner_projection(dictionary, iset, u, rho, iters, tol):
+    """The inner round written plainly: fresh arrays every round and
+    scipy's ``cho_solve`` (LAPACK ``potrs``) for the ridge solve. Kept as
+    the reference the lean round must match to rounding.
+
+    Returns ``(beta, rounds, stalled)``.
+    """
+    factor = dictionary.ridge_cho_factor(rho)
+    matrix = dictionary.matrix
+    z = iset.project(matrix @ u)
+    w = np.zeros(dictionary.n)
+    beta, res, rounds = u, math.inf, 0
+    for _ in range(iters):
+        rhs = u + rho * (matrix.T @ (z - w))
+        beta = cho_solve(factor, rhs, check_finite=False)
+        image = matrix @ beta
+        z = iset.project(image + w)
+        w += image - z
+        res = float(np.linalg.norm(image - z))
+        rounds += 1
+        if res <= tol:
+            break
+    return beta, rounds, not res <= 1e-3
+
+
+def _protocol_case(seed, label):
+    dic = gen_dictionary(seed, PROTOCOL["n"], PROTOCOL["m"])
+    _, x = gen_sparse_signal(seed + SIGNAL_SEED_OFFSET, dic, PROTOCOL["k_sparse"])
+    dspec = DistortionSpec.parse(label)
+    return dic, dspec.preimage(dspec.apply(x))
+
+
+def _counting_solves(monkeypatch):
+    rounds = []
+    original = solvers.cho_solve
+
+    def counting(factor, rhs):
+        rounds.append(1)
+        return original(factor, rhs)
+
+    monkeypatch.setattr(solvers, "cho_solve", counting)
+    return rounds
+
+
+@pytest.mark.parametrize("label", ["clip:0.6", "quant:4"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_inner_projection_matches_the_reference_round(monkeypatch, seed, label):
+    dic, iset = _protocol_case(seed, label)
+    config = AdmmConfig()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rounds = _counting_solves(monkeypatch)
+    for u in (np.zeros(dic.m), 0.1 * rng.standard_normal(dic.m)):
+        args = (dic, iset, u, config.rho_inner, config.inner_iters, config.inner_tol)
+        ref_beta, ref_rounds, ref_stalled = _reference_inner_projection(*args)
+        rounds.clear()
+        try:
+            beta = inner_projection(*args)
+            stalled = False
+        except InnerProjectionError:
+            beta, stalled = None, True
+        assert len(rounds) == ref_rounds
+        assert stalled == ref_stalled
+        if not stalled:
+            np.testing.assert_allclose(
+                beta, ref_beta, rtol=0, atol=1e-12 * float(np.abs(ref_beta).max())
+            )
+
+
+@pytest.mark.parametrize("label", ["clip:0.6", "quant:4"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_admm_matches_the_reference_round_in_stops(monkeypatch, seed, label):
+    dic, iset = _protocol_case(seed, label)
+    config = AdmmConfig(max_iter=20)
+    beta, trace = solve_admm_constrained(dic, iset, config)
+
+    def reference(*args):
+        ref_beta, _, stalled = _reference_inner_projection(*args)
+        if stalled:
+            raise InnerProjectionError("reference round stalled")
+        return ref_beta
+
+    monkeypatch.setattr(solvers, "inner_projection", reference)
+    ref_beta, ref_trace = solve_admm_constrained(dic, iset, config)
+    assert trace.stop_reason == ref_trace.stop_reason
+    assert trace.iterations_run == ref_trace.iterations_run
+    np.testing.assert_allclose(trace.objective_per_iter, ref_trace.objective_per_iter, rtol=1e-9)
+    np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=1e-9 * float(np.abs(ref_beta).max()))
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_cho_solve_matches_scipy_on_either_triangle(lower):
+    rng = np.random.Generator(np.random.PCG64(70))
+    a = rng.standard_normal((9, 9))
+    spd = np.asfortranarray(a @ a.T + 9.0 * np.eye(9))
+    factor = cho_factor(spd, lower=lower)
+    rhs = rng.standard_normal(9)
+    kept = rhs.copy()
+    got = solvers.cho_solve(factor, rhs)
+    np.testing.assert_allclose(got, cho_solve(factor, rhs), rtol=1e-12)
+    assert np.array_equal(rhs, kept)
+
+
+def test_ridge_factor_is_fortran_ordered():
+    # trsv reads a Fortran-ordered factor in place; any other layout would
+    # be copied, M x M doubles, on every solve
+    c, lower = gen_dictionary(69, 16, 32).ridge_cho_factor(1.0)
+    assert lower
+    assert c.flags["F_CONTIGUOUS"]
 
 
 # ----------------------------------------------------------------------

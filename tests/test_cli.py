@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_consist import AdmmConfig, SolverConfig, cli
+from sparse_consist import AdmmConfig, DistortionSpec, SolverConfig, cli
 from sparse_consist.cli import ENV_SEED, main
 
 
@@ -44,6 +44,14 @@ def test_gen_writes_instance_directory(tmp_path):
     y = np.loadtxt(out / "y.txt")
     assert y.shape == (16,)
     assert float(np.max(np.abs(y))) <= 0.6
+
+
+@pytest.mark.parametrize("descriptor", ["clip:0.123456789", "quant:4", "clip:0.6"])
+def test_gen_records_a_distortion_label_that_reads_back_exactly(tmp_path, descriptor):
+    out = _gen(tmp_path, "--distortion", descriptor)
+    label = json.loads((out / "instance.json").read_text())["distortion"]
+    assert label == descriptor
+    assert DistortionSpec.parse(label) == DistortionSpec.parse(descriptor)
 
 
 def test_solve_happy_path(tmp_path):

@@ -193,6 +193,10 @@ def test_worker_pool_reduces_identically():
         assert a.std_snr_db == b.std_snr_db
         assert a.mean_iterations == b.mean_iterations
     assert serial.input_snr_db == pooled.input_snr_db
+    shared = _small_spec(shared_dictionary=True)
+    assert [s.mean_snr_db for s in run_experiment(shared, jobs=2).per_point] == [
+        s.mean_snr_db for s in run_experiment(shared, jobs=1).per_point
+    ]
     with pytest.raises(ValueError):
         run_experiment(spec, jobs=0)
 
@@ -204,20 +208,21 @@ def test_shared_dictionary_reuses_the_base_draw():
     assert result.per_point[0].std_snr_db > 0.0
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Patch ``module.name`` to count its calls in the Counter ``calls``."""
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
 def test_shared_dictionary_is_built_and_estimated_once_per_sweep(monkeypatch):
     calls = Counter()
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapped)
-
-    counted(exps, "gen_dictionary")
-    counted(operators, "power_iteration_gram")
+    _count_calls(monkeypatch, calls, exps, "gen_dictionary")
+    _count_calls(monkeypatch, calls, operators, "power_iteration_gram")
     run_experiment(_small_spec(shared_dictionary=True, trials=3))
     assert calls == {"gen_dictionary": 1, "power_iteration_gram": 1}
     calls.clear()
@@ -226,11 +231,16 @@ def test_shared_dictionary_is_built_and_estimated_once_per_sweep(monkeypatch):
 
 
 class _PicklingPool:
-    """In-process stand-in for the process pool: every work item makes the
-    same pickle round trip it makes on its way to a worker process."""
+    """In-process stand-in for the process pool. Its ``max_workers`` workers
+    run in turn, each on every ``max_workers``-th work item; a worker first
+    runs the initializer on its own unpickled copy of ``initargs``, and every
+    work item makes the same pickle round trip it makes on its way to a
+    worker process."""
 
-    def __init__(self, max_workers):
-        pass
+    def __init__(self, max_workers, initializer, initargs):
+        self.workers = max_workers
+        self.initializer = initializer
+        self.initargs = initargs
 
     def __enter__(self):
         return self
@@ -239,23 +249,31 @@ class _PicklingPool:
         return False
 
     def map(self, fn, items):
-        return [fn(pickle.loads(pickle.dumps(item))) for item in items]
+        items = list(items)
+        results = [None] * len(items)
+        for worker in range(self.workers):
+            self.initializer(*pickle.loads(pickle.dumps(self.initargs)))
+            for i in range(worker, len(items), self.workers):
+                results[i] = fn(pickle.loads(pickle.dumps(items[i])))
+        return results
 
 
-def test_pool_workers_reuse_the_shared_lipschitz_estimate(monkeypatch):
-    spec = _small_spec(shared_dictionary=True, trials=4)
+def test_pool_workers_build_the_shared_state_once_each(monkeypatch):
+    spec = _small_spec(
+        shared_dictionary=True,
+        trials=4,
+        solvers=("ista", "admm"),
+        admm_config=AdmmConfig(max_iter=20),
+    )
     serial = run_experiment(spec, jobs=1)
-    calls = []
-    original = operators.power_iteration_gram
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(operators, "power_iteration_gram", counted)
+    calls = Counter()
+    _count_calls(monkeypatch, calls, operators, "power_iteration_gram")
+    _count_calls(monkeypatch, calls, operators, "cho_factor")
     monkeypatch.setattr(exps, "ProcessPoolExecutor", _PicklingPool)
+    monkeypatch.setattr(exps, "_worker_dictionary", None)
     pooled = run_experiment(spec, jobs=2)
-    assert len(calls) == 1
+    # one Lipschitz estimate and one ridge factor per worker, not per trial
+    assert calls == {"power_iteration_gram": 2, "cho_factor": 2}
     assert [s.mean_snr_db for s in pooled.per_point] == [
         s.mean_snr_db for s in serial.per_point
     ]

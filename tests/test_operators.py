@@ -125,6 +125,16 @@ def test_power_iteration_rejects_zero_matrix():
         power_iteration_gram(np.zeros((3, 4)))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scale, fault", [(1e150, "overflow"), (1e160, "overflow"), (1e-160, "underflow")]
+)
+def test_power_iteration_names_a_gram_overflow_or_underflow(scale, fault):
+    d = _random_dictionary(10, n=8, m=16).matrix * scale
+    with pytest.raises(ValueError, match=f"Gram values .* {fault}"):
+        power_iteration_gram(d)
+
+
 def test_power_iteration_validates_arguments():
     d = np.eye(2)
     with pytest.raises(ValueError):
@@ -212,6 +222,22 @@ def test_ridge_factor_solves_the_ridge_system():
     assert d.ridge_cho_factor(rho) is factor  # cached per rho
     with pytest.raises(ValueError):
         d.ridge_cho_factor(0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale, fault", [(1e160, "overflow"), (1e-160, "underflow")])
+def test_ridge_factor_names_a_gram_overflow_or_underflow(scale, fault):
+    d = Dictionary(_random_dictionary(10, n=8, m=16).matrix * scale)
+    for _ in range(2):  # nothing is cached, so the second call raises too
+        with pytest.raises(ValueError, match=f"Gram values .* {fault}"):
+            d.ridge_cho_factor(1.0)
+
+
+def test_ridge_factor_accepts_a_zero_atom():
+    mat = _random_dictionary(11, n=5, m=8).matrix.copy()
+    mat[:, 3] = 0.0
+    c, lower = Dictionary(mat).ridge_cho_factor(1.0)
+    assert lower and np.isfinite(c).all()
 
 
 def test_binary_round_trip_is_bitwise(tmp_path):
