@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DimensionMismatch
 from .feasibility import _as_vector
@@ -55,7 +54,12 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
-    """Standard normal draws via inverse CDF of (k + 1/2) / 2^53."""
+    """Standard normal draws via inverse CDF of (k + 1/2) / 2^53.
+
+    scipy.special is imported on the first draw, not with this module.
+    """
+    from scipy.special import ndtri
+
     k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
     u = (k.astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .errors import DimensionMismatch
 from .feasibility import IntervalSet, _as_vector
@@ -56,6 +55,8 @@ def quantize_midriser(x, n_bits: int) -> np.ndarray:
     return np.clip(q, -top, top)
 
 
+# The function reports an overflow by its ValueError, not by numpy's warning.
+@np.errstate(over="ignore", invalid="ignore")
 def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
     """Largest eigenvalue of ``matrix.T @ matrix`` by power iteration.
 
@@ -114,6 +115,18 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
 
 def _max_abs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix)))
+
+
+def cho_factor(a: np.ndarray):
+    """Lower Cholesky factor ``(c, True)`` of the F-ordered matrix ``a``,
+    computed in place by scipy's ``cho_factor``.
+
+    scipy.linalg is imported here, on the first factorization, so that a
+    process which never runs the ADMM baseline does not load it.
+    """
+    from scipy.linalg import cho_factor
+
+    return cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
 
 
 class Dictionary:
@@ -188,34 +201,45 @@ class Dictionary:
         This is the dominant setup cost of the nested-projection baseline;
         reusing it across all inner and outer iterations is what makes that
         baseline usable at all. The factor is F-contiguous, so BLAS reads it
-        without a copy. Raises ValueError when a value of ``rho * D.T @ D``
-        overflows, or when a nonzero atom's diagonal entry underflows, since
-        the ridge system then no longer holds the dictionary.
+        without a copy. Raises ValueError, caching nothing, when the ridge
+        system no longer holds the dictionary at this scale: a value of
+        ``rho * D.T @ D`` overflows, a nonzero atom's diagonal entry
+        underflows, every Gram value is negligible next to the identity (the
+        system is exactly I), or the Gram values swamp the identity so that
+        the factorization fails.
         """
         rho = float(rho)
         if rho <= 0.0:
             raise ValueError("rho must be positive")
         factor = self._ridge_factors.get(rho)
         if factor is None:
-            gram = self._matrix.T @ self._matrix
-            gram *= rho
+            with np.errstate(over="ignore"):
+                gram = self._matrix.T @ self._matrix
+                gram *= rho
             if not np.isfinite(gram).all():
-                raise ValueError(
-                    f"Gram values rho * D.T @ D overflow at rho={rho} "
-                    f"(largest entry of D {_max_abs(self._matrix):.3e})"
-                )
+                raise self._gram_error("overflow", rho)
+            diagonal = gram.diagonal()
             tiny = np.finfo(np.float64).tiny
-            if np.any((gram.diagonal() < tiny) & self._matrix.any(axis=0)):
-                raise ValueError(
-                    f"Gram values rho * D.T @ D underflow at rho={rho} "
-                    f"(largest entry of D {_max_abs(self._matrix):.3e})"
-                )
+            if np.any((diagonal < tiny) & self._matrix.any(axis=0)):
+                raise self._gram_error("underflow", rho)
+            if 1.0 + diagonal.max() == 1.0 and self._matrix.any():
+                raise self._gram_error("are negligible next to the identity", rho)
             gram[np.diag_indices(self.m)] += 1.0
             # The Gram matrix is exactly symmetric, so its transpose is the
             # same matrix in Fortran order, which LAPACK factors in place.
-            factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
+            try:
+                factor = cho_factor(gram.T)
+            except np.linalg.LinAlgError:
+                # I + rho * D.T @ D is positive definite in exact arithmetic
+                raise self._gram_error("swamp the identity", rho) from None
             self._ridge_factors[rho] = factor
         return factor
+
+    def _gram_error(self, fault: str, rho: float) -> ValueError:
+        return ValueError(
+            f"Gram values rho * D.T @ D {fault} at rho={rho} "
+            f"(largest entry of D {_max_abs(self._matrix):.3e})"
+        )
 
     # ------------------------------------------------------------------
     # serialization

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
 
 from .errors import DimensionMismatch, InnerProjectionError
 from .feasibility import IntervalSet
@@ -337,8 +336,11 @@ def cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
     scipy's ``cho_solve`` runs LAPACK ``potrs`` instead, whose
     matrix-matrix ``trsm`` is slower on a one-column right-hand side. rhs
     is left unchanged. The factor must be F-contiguous, or each call
-    copies it.
+    copies it. scipy.linalg is imported on the first call, not with
+    this module.
     """
+    from scipy.linalg.blas import dtrsv
+
     c, lower = factor
     y = dtrsv(c, rhs, lower=lower, trans=0 if lower else 1)
     return dtrsv(c, y, lower=lower, trans=1 if lower else 0, overwrite_x=1)

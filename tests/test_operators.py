@@ -125,9 +125,10 @@ def test_power_iteration_rejects_zero_matrix():
         power_iteration_gram(np.zeros((3, 4)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "scale, fault", [(1e150, "overflow"), (1e160, "overflow"), (1e-160, "underflow")]
+    "scale, fault",
+    [(1e140, "overflow"), (1e150, "overflow"), (1e160, "overflow"), (1e-160, "underflow")],
 )
 def test_power_iteration_names_a_gram_overflow_or_underflow(scale, fault):
     d = _random_dictionary(10, n=8, m=16).matrix * scale
@@ -224,8 +225,17 @@ def test_ridge_factor_solves_the_ridge_system():
         d.ridge_cho_factor(0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("scale, fault", [(1e160, "overflow"), (1e-160, "underflow")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scale, fault",
+    [
+        (1e160, "overflow"),
+        (1e150, "swamp the identity"),
+        (1e140, "swamp the identity"),
+        (1e-150, "negligible next to the identity"),
+        (1e-160, "underflow"),
+    ],
+)
 def test_ridge_factor_names_a_gram_overflow_or_underflow(scale, fault):
     d = Dictionary(_random_dictionary(10, n=8, m=16).matrix * scale)
     for _ in range(2):  # nothing is cached, so the second call raises too
