@@ -159,6 +159,8 @@ class ExperimentSpec:
         for name in self.solvers:
             if name not in SOLVER_NAMES:
                 raise ValueError(f"unknown solver {name!r}, expected one of {SOLVER_NAMES}")
+        if len(set(self.solvers)) != len(self.solvers):
+            raise ValueError(f"solvers must not repeat, got {self.solvers}")
 
 
 @dataclass(frozen=True)
@@ -183,11 +185,13 @@ class PointSummary:
 
 @dataclass(frozen=True)
 class AggregateResult:
-    grid: tuple
     input_snr_db: tuple
     per_point: tuple
     trials: int
-    failure_count: int
+
+    @property
+    def failure_count(self) -> int:
+        return sum(s.failures for s in self.per_point)
 
 
 def run_solver(name, dictionary, iset, solver_config, admm_config):
@@ -288,7 +292,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
 
     input_means = []
     summaries = []
-    total_failures = 0
     for p, dspec in enumerate(spec.distortion_grid):
         input_means.append(float(np.mean([trial_results[t][p][0] for t in range(spec.trials)])))
         for name in spec.solvers:
@@ -296,7 +299,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
             good = [c for c in cells if c[3] is None]
             reasons = Counter(c[3] for c in cells if c[3] is not None)
             failures = len(cells) - len(good)
-            total_failures += failures
             if good:
                 snrs = np.asarray([c[0] for c in good])
                 mean_snr = float(np.mean(snrs))
@@ -318,11 +320,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
                 )
             )
     return AggregateResult(
-        grid=spec.distortion_grid,
         input_snr_db=tuple(input_means),
         per_point=tuple(summaries),
         trials=spec.trials,
-        failure_count=total_failures,
     )
 
 
@@ -342,27 +342,22 @@ def run_timing_table(
 ):
     """Mean solver wall time per task, in the two-task three-solver layout.
 
-    Runs a declipping sweep over ``clip_thetas`` and a dequantization sweep
-    over ``quant_bits`` with the solver set of ``base``; each row averages
-    over every (grid point, trial) run of one solver on one task.
+    Runs one sweep of ``base``'s solvers over the clip levels ``clip_thetas``
+    then the bit depths ``quant_bits``, so each trial's instance serves both
+    tasks. Each row averages over every (grid point, trial) run of one solver
+    on one task; a task with an empty grid gets no rows.
     """
+    grid = tuple(DistortionSpec.clipping(t) for t in clip_thetas) + tuple(
+        DistortionSpec.quantization(b) for b in quant_bits
+    )
+    result = run_experiment(replace(base, distortion_grid=grid), jobs=jobs)
     rows = []
-    for task_grid in (
-        tuple(DistortionSpec.clipping(t) for t in clip_thetas),
-        tuple(DistortionSpec.quantization(b) for b in quant_bits),
-    ):
-        spec = replace(base, distortion_grid=task_grid)
-        result = run_experiment(spec, jobs=jobs)
-        task = task_grid[0].task
-        for name in spec.solvers:
-            cells = [s for s in result.per_point if s.solver == name]
-            runs = sum(spec.trials - s.failures for s in cells)
-            total = sum(
-                s.mean_wall_time_s * (spec.trials - s.failures)
-                for s in cells
-                if spec.trials > s.failures
-            )
-            mean = total / runs if runs else float("nan")
+    for task in dict.fromkeys(d.task for d in grid):
+        for name in base.solvers:
+            cells = [s for s in result.per_point if (s.distortion.task, s.solver) == (task, name)]
+            runs = [base.trials - s.failures for s in cells]
+            total = sum(s.mean_wall_time_s * r for s, r in zip(cells, runs) if r)
+            mean = total / sum(runs) if any(runs) else float("nan")
             rows.append(TimingRow(task, name, mean, total))
     return rows
 

@@ -56,7 +56,7 @@ def quantize_midriser(x, n_bits: int) -> np.ndarray:
 
 
 # The function reports an overflow by its ValueError, not by numpy's warning.
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore")
 def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
     """Largest eigenvalue of ``matrix.T @ matrix`` by power iteration.
 
@@ -65,15 +65,18 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
     holds the Rayleigh quotient of every iteration; for a symmetric positive
     semi-definite Gram matrix the history is non-decreasing.
 
-    Raises ValueError for a zero matrix, and for one whose Gram values
-    overflow (a non-finite quotient or norm) or underflow (no positive Gram
-    action from a nonzero matrix).
+    It runs on the matrix scaled by the power of two that puts its largest
+    entry in [0.5, 1), so no norm overflows, and scales both results back
+    exactly. Raises ValueError for a zero matrix, and for one whose estimate
+    is not finite (overflow) or below the smallest normal double (underflow).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     d = np.asarray(matrix, dtype=np.float64)
+    exponent = math.frexp(_max_abs(d))[1]
+    scaled = np.ldexp(d, -exponent)
     m = d.shape[1]
     starts = [
         np.full(m, 1.0 / math.sqrt(m)),
@@ -82,30 +85,30 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
     for v in starts:
         lam_prev = -np.inf
         history: list[float] = []
-        failed = False
         for _ in range(max_iter):
-            w = d.T @ (d @ v)
+            w = scaled.T @ (scaled @ v)
             lam = float(v @ w)  # Rayleigh quotient; v is unit-norm
             history.append(lam)
             norm_w = float(np.linalg.norm(w))
-            if not (math.isfinite(lam) and math.isfinite(norm_w)):
-                raise ValueError(
-                    "Gram values of the matrix overflow: power iteration met a "
-                    f"non-finite quotient or norm (largest entry {_max_abs(d):.3e})"
-                )
             if norm_w == 0.0 or lam <= 0.0:
-                failed = True  # start vector killed by the Gram action
-                break
+                break  # start vector killed by the Gram action
             v = w / norm_w
             if abs(lam - lam_prev) <= tol * lam:
-                return lam, history
+                break
             lam_prev = lam
-        if not failed:
-            return lam, history
+        if lam <= 0.0:
+            continue
+        estimate = float(np.ldexp(lam, 2 * exponent))
+        if np.finfo(np.float64).tiny <= estimate < math.inf:
+            return estimate, np.ldexp(history, 2 * exponent).tolist()
+        raise ValueError(
+            f"Gram values of the matrix {'underflow' if estimate < 1.0 else 'overflow'}: "
+            f"power iteration estimates {estimate:.3e} (largest entry {_max_abs(d):.3e})"
+        )
     if d.any():
         raise ValueError(
-            "Gram values of the matrix underflow: power iteration found no "
-            f"positive Gram action (largest entry {_max_abs(d):.3e})"
+            "power iteration found no positive Gram action: both start "
+            "vectors lie in the null space of the matrix"
         )
     raise ValueError(
         "power iteration found no positive Gram action; zero dictionary "

@@ -304,11 +304,12 @@ def test_09_recovery_curves_have_the_expected_shape():
     )
     problems = []
     min_gain = np.inf
-    for result in (run_experiment(declip), run_experiment(dequant)):
+    for spec in (declip, dequant):
+        result = run_experiment(spec)
         by_solver = {}
         for s in result.per_point:
             by_solver.setdefault(s.solver, []).append(s)
-        for i, dspec in enumerate(result.grid):
+        for i, dspec in enumerate(spec.distortion_grid):
             ista = by_solver["ista"][i]
             fista = by_solver["fista"][i]
             if fista.mean_snr_db < ista.mean_snr_db:

@@ -1,6 +1,7 @@
 """Constrained baseline: nested projection and the outer splitting loop."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from sparse_consist import (
     inner_projection,
     solve_admm_constrained,
 )
-from sparse_consist import solvers
+from sparse_consist import operators, solvers
 
 PROTOCOL = dict(n=256, m=512, k_sparse=16)
 
@@ -280,6 +281,22 @@ def test_trace_records_l1_history():
     assert (trace.objective_per_iter >= 0.0).all()
     assert not trace.converged
     assert trace.stop_reason == "max_iter"
+
+
+def test_wall_time_excludes_the_ridge_factorization(monkeypatch):
+    # The factor is setup, like the relaxed solvers' Lipschitz estimate, so
+    # a slow factorization must not show in the solve's wall time.
+    factor = operators.cho_factor
+
+    def slow_factor(a):
+        time.sleep(0.2)
+        return factor(a)
+
+    monkeypatch.setattr(operators, "cho_factor", slow_factor)
+    dic, iset = _clip_instance(61)
+    _, trace = solve_admm_constrained(dic, iset, AdmmConfig(max_iter=1))
+    assert trace.iterations_run == 1
+    assert trace.wall_time_seconds < 0.2
 
 
 def test_unreachable_inner_budget_reports_failure_not_exception():

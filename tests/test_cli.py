@@ -247,11 +247,12 @@ def test_bench_rejects_bad_grids(tmp_path, capsys):
         ["dequant-bench", "--grid", "nan"],
         ["declip-bench", "--grid", "nan"],
         ["timing", "--quant-grid", "inf"],
+        ["declip-bench", "--solvers", "fista,fista"],
     ):
         assert main([*argv, *SMALL, "--out", str(tmp_path / "b.csv")]) == 2
     assert main(["gen", "--distortion", "quant:inf", "--out", str(tmp_path / "g")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 8 and all(line.startswith("error: ") for line in err)
+    assert len(err) == 9 and all(line.startswith("error: ") for line in err)
     assert list(tmp_path.iterdir()) == []
 
 

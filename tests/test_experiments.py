@@ -3,6 +3,7 @@
 import math
 import pickle
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,8 @@ def test_spec_validation():
         _small_spec(trials=0)
     with pytest.raises(ValueError):
         _small_spec(k_sparse=33)
+    with pytest.raises(ValueError, match="repeat"):
+        _small_spec(solvers=("fista", "fista"))
     spec = _small_spec(solvers=["ista"])  # lists are coerced
     assert spec.solvers == ("ista",)
 
@@ -331,18 +334,70 @@ def test_diverged_solves_are_counted_as_failures():
         assert math.isnan(s.mean_snr_db)
 
 
-def test_timing_table_layout():
-    spec = _small_spec(trials=2, solvers=("ista", "fista"))
-    rows = run_timing_table(spec, clip_thetas=(0.5,), quant_bits=(3,))
+def _without_times(result):
+    """The sweep result with its wall times, which are measurements, zeroed."""
+    return (result.input_snr_db, [replace(s, mean_wall_time_s=0.0) for s in result.per_point])
+
+
+def test_timing_table_layout(monkeypatch):
+    sweeps = []
+
+    def capture(spec, jobs=1):
+        sweeps.append(run_experiment(spec, jobs=jobs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(exps, "run_experiment", capture)
+    for shared in (False, True):
+        spec = _small_spec(
+            trials=2,
+            solvers=("ista", "fista", "admm"),
+            admm_config=AdmmConfig(max_iter=20),
+            shared_dictionary=shared,
+        )
+        sweeps.clear()
+        rows = run_timing_table(spec, clip_thetas=(0.5,), quant_bits=(3,))
+        assert [(r.task, r.solver) for r in rows] == [
+            (task, name)
+            for task in ("declipping", "dequantization")
+            for name in ("ista", "fista", "admm")
+        ]
+        for r in rows:
+            assert r.mean_wall_time_s > 0.0
+            assert r.total_wall_time_s == pytest.approx(r.mean_wall_time_s * 2, rel=1e-9)
+        # one sweep over both grids gives the per-task sweeps' numbers bit for bit
+        (sweep,) = sweeps
+        clip, quant = (
+            _without_times(run_experiment(replace(spec, distortion_grid=(d,))))
+            for d in (DistortionSpec.clipping(0.5), DistortionSpec.quantization(3))
+        )
+        assert _without_times(sweep) == (clip[0] + quant[0], clip[1] + quant[1])
+
+
+def test_timing_table_builds_each_trial_instance_once(monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, calls, exps, "run_experiment")
+    _count_calls(monkeypatch, calls, exps, "gen_dictionary")
+    _count_calls(monkeypatch, calls, operators, "power_iteration_gram")
+    _count_calls(monkeypatch, calls, operators, "cho_factor")
+    spec = _small_spec(
+        trials=2, solvers=("ista", "fista", "admm"), admm_config=AdmmConfig(max_iter=20)
+    )
+    run_timing_table(spec, clip_thetas=(0.5,), quant_bits=(3,))
+    assert calls == {
+        "run_experiment": 1,
+        "gen_dictionary": 2,
+        "power_iteration_gram": 2,
+        "cho_factor": 2,
+    }
+
+
+def test_timing_table_with_one_task_grid_empty():
+    spec = _small_spec(trials=1)
+    rows = run_timing_table(spec, clip_thetas=(), quant_bits=(3,))
     assert [(r.task, r.solver) for r in rows] == [
-        ("declipping", "ista"),
-        ("declipping", "fista"),
         ("dequantization", "ista"),
         ("dequantization", "fista"),
     ]
-    for r in rows:
-        assert r.mean_wall_time_s > 0.0
-        assert r.total_wall_time_s == pytest.approx(r.mean_wall_time_s * 2, rel=1e-9)
 
 
 # ----------------------------------------------------------------------
