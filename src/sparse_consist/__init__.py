@@ -10,13 +10,7 @@ hard constraint.
 
 from .errors import DimensionMismatch, InnerProjectionError
 from .feasibility import IntervalSet
-from .operators import (
-    Dictionary,
-    DistortionSpec,
-    clip,
-    power_iteration_gram,
-    quantize_midriser,
-)
+from .operators import Dictionary, DistortionSpec, power_iteration_gram
 from .solvers import (
     AdmmConfig,
     SolverConfig,

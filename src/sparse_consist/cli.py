@@ -278,6 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads the value of ``--opt=--`` as the end of options and
+    # stores an empty list; no option here takes a list.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: {name} has no value", file=sys.stderr)
+            return 2
 
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None and hasattr(args, "seed"):

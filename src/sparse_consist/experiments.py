@@ -35,6 +35,7 @@ from .operators import Dictionary, DistortionSpec
 from .solvers import (
     AdmmConfig,
     SolverConfig,
+    _require_integers,
     solve_admm_constrained,
     solve_fista,
     solve_ista,
@@ -146,6 +147,9 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "distortion_grid", tuple(self.distortion_grid))
         object.__setattr__(self, "solvers", tuple(self.solvers))
+        _require_integers(
+            n=self.n, m=self.m, k_sparse=self.k_sparse, trials=self.trials, seed=self.seed
+        )
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be at least 1")
         if not 1 <= self.k_sparse <= self.m:

@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-# Absolute tolerance when validating that an observation sits on a
-# representable quantizer level.
-LEVEL_TOL = 1e-9
-
 
 def _as_vector(x, name: str = "x") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
@@ -69,63 +65,6 @@ class IntervalSet:
 
     # ------------------------------------------------------------------
     # constructors
-
-    @classmethod
-    def from_clipping(cls, y, theta_plus: float, theta_minus: float) -> "IntervalSet":
-        """Constraint set consistent with ``y = clip(x, theta_plus, theta_minus)``.
-
-        Samples equal to ``theta_plus`` are upper-saturated and map to
-        ``[theta_plus, +inf)``, samples equal to ``theta_minus`` map to
-        ``(-inf, theta_minus]``, everything else is exactly known. Saturation
-        detection uses exact equality: the clipper emits the threshold values
-        exactly, so a tolerance of zero is correct here.
-        """
-        y = _as_vector(y, "y")
-        theta_plus = float(theta_plus)
-        theta_minus = float(theta_minus)
-        if not theta_plus > theta_minus:
-            raise ValueError(
-                f"theta_plus must exceed theta_minus, got {theta_plus} <= {theta_minus}"
-            )
-        if (y > theta_plus).any() or (y < theta_minus).any():
-            raise ValueError("observation contains samples outside the clipping range")
-        lower = y.copy()
-        upper = y.copy()
-        upper[y == theta_plus] = np.inf
-        lower[y == theta_minus] = -np.inf
-        return cls(lower, upper)
-
-    @classmethod
-    def from_quantization(cls, y, delta: float, saturation: float) -> "IntervalSet":
-        """Constraint set consistent with a uniform midriser quantizer.
-
-        ``y`` must consist of reconstruction levels, i.e. odd multiples of
-        ``delta / 2`` no larger in magnitude than ``saturation - delta / 2``
-        (validated to within ``LEVEL_TOL``). Interior levels map to the closed
-        bin ``[y - delta/2, y + delta/2]``; the outermost levels absorb the
-        saturated tail and are unbounded on the outer side.
-        """
-        y = _as_vector(y, "y")
-        delta = float(delta)
-        saturation = float(saturation)
-        if delta <= 0.0:
-            raise ValueError("delta must be positive")
-        top = saturation - delta / 2.0
-        if top < 0.0:
-            raise ValueError("saturation must be at least delta / 2")
-        level = delta * (np.floor(y / delta) + 0.5)
-        np.clip(level, -top, top, out=level)
-        if (np.abs(y - level) > LEVEL_TOL).any():
-            bad = int(np.argmax(np.abs(y - level)))
-            raise ValueError(
-                f"y[{bad}] = {y[bad]!r} is not a representable level for "
-                f"delta={delta}, saturation={saturation}"
-            )
-        lower = y - delta / 2.0
-        upper = y + delta / 2.0
-        upper[y >= top - LEVEL_TOL] = np.inf
-        lower[y <= -top + LEVEL_TOL] = -np.inf
-        return cls(lower, upper)
 
     @classmethod
     def singleton(cls, x) -> "IntervalSet":

@@ -16,6 +16,7 @@ so its residual is ``D alpha - x`` to the last bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -28,6 +29,14 @@ from .operators import Dictionary
 # Floor for the denominator of the relative objective-change test, so that
 # objectives at or near zero do not stall the stopping rule.
 _REL_CHANGE_FLOOR = 1e-12
+
+
+def _require_integers(**fields) -> None:
+    """Refuse a count or seed that is not an integer; numpy integers pass.
+    A float would pass the range checks and fail later, inside a solve."""
+    for name, value in fields.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def soft_threshold(rho: float, v: np.ndarray) -> np.ndarray:
@@ -90,6 +99,7 @@ class SolverConfig:
             raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0.0):
             raise ValueError(f"step must be finite and positive when given, got {self.step}")
+        _require_integers(max_iter=self.max_iter)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.rel_tol >= 0.0:
@@ -146,6 +156,7 @@ class AdmmConfig:
     def __post_init__(self):
         if not (self.rho_outer > 0.0 and self.rho_inner > 0.0):
             raise ValueError("penalty parameters must be positive")
+        _require_integers(inner_iters=self.inner_iters, max_iter=self.max_iter)
         if self.inner_iters < 1 or self.max_iter < 1:
             raise ValueError("iteration budgets must be at least 1")
         if not self.inner_tol > 0.0:

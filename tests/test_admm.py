@@ -332,3 +332,8 @@ def test_admm_config_validation():
     for field in ("rho_outer", "rho_inner", "inner_tol", "abs_tol", "rel_tol"):
         with pytest.raises(ValueError):
             AdmmConfig(**{field: np.nan})
+    for field in ("inner_iters", "max_iter"):
+        for value in (2.5, 50.0):
+            with pytest.raises(ValueError, match=field):
+                AdmmConfig(**{field: value})
+        assert getattr(AdmmConfig(**{field: np.int32(9)}), field) == 9

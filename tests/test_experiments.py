@@ -160,6 +160,12 @@ def test_spec_validation():
         _small_spec(k_sparse=33)
     with pytest.raises(ValueError, match="repeat"):
         _small_spec(solvers=("fista", "fista"))
+    for field in ("n", "m", "k_sparse", "trials", "seed"):
+        with pytest.raises(ValueError, match=field):
+            _small_spec(**{field: 1.5})
+        with pytest.raises(ValueError, match=field):
+            _small_spec(**{field: 3.0})
+        assert getattr(_small_spec(**{field: np.int64(3)}), field) == 3
     spec = _small_spec(solvers=["ista"])  # lists are coerced
     assert spec.solvers == ("ista",)
 

@@ -1,4 +1,4 @@
-"""Interval-set geometry: constructors, projection, distance."""
+"""Interval sets: the distortions' pre-images, projection, distance."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparse_consist import DimensionMismatch, IntervalSet
+from sparse_consist import DimensionMismatch, DistortionSpec, IntervalSet, operators
 
 
 def finite_vectors(max_len=12, scale=10):
@@ -41,12 +41,12 @@ def interval_sets(draw, max_len=12):
 
 
 # ----------------------------------------------------------------------
-# constructors
+# pre-images
 
 
 def test_clipping_preimage_splits_samples():
     y = np.array([0.3, 0.6, -0.6, 0.0])
-    s = IntervalSet.from_clipping(y, 0.6, -0.6)
+    s = DistortionSpec.clipping(0.6).preimage(y)
     assert s.lower[0] == s.upper[0] == 0.3
     assert s.lower[1] == 0.6 and s.upper[1] == math.inf
     assert s.lower[2] == -math.inf and s.upper[2] == -0.6
@@ -54,39 +54,158 @@ def test_clipping_preimage_splits_samples():
 
 
 def test_clipping_rejects_out_of_range_observation():
-    with pytest.raises(ValueError):
-        IntervalSet.from_clipping(np.array([0.7]), 0.6, -0.6)
+    with pytest.raises(ValueError, match="not an output of clip:0.6"):
+        DistortionSpec.clipping(0.6).preimage(np.array([0.7]))
 
 
 def test_clipping_rejects_bad_thresholds():
-    with pytest.raises(ValueError):
-        IntervalSet.from_clipping(np.array([0.0]), -0.1, 0.1)
+    for theta in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="clip level"):
+            DistortionSpec.clipping(theta)
 
 
 def test_quantization_preimage_interior_and_saturated_bins():
-    # delta = 0.5 at 3 bits; levels are +-0.25, +-0.75 with the outer pair
-    # absorbing the saturated tail.
-    delta = 0.25
+    # delta = 0.25 at 3 bits; levels are odd multiples of 0.125 up to
+    # +-0.875, and the outer pair absorbs the saturated tail.
     y = np.array([0.125, -0.375, 0.875, -0.875])
-    s = IntervalSet.from_quantization(y, delta, 1.0)
-    np.testing.assert_allclose(s.lower[0], 0.0)
-    np.testing.assert_allclose(s.upper[0], 0.25)
-    np.testing.assert_allclose(s.lower[1], -0.5)
-    np.testing.assert_allclose(s.upper[1], -0.25)
-    np.testing.assert_allclose(s.lower[2], 0.75)
-    assert s.upper[2] == math.inf
-    assert s.lower[3] == -math.inf
-    np.testing.assert_allclose(s.upper[3], -0.75)
+    s = DistortionSpec.quantization(3).preimage(y)
+    np.testing.assert_array_equal(s.lower[:2], [0.0, -0.5])
+    np.testing.assert_array_equal(s.upper[:2], [0.25, -0.25])
+    assert s.lower[2] == 0.75 and s.upper[2] == math.inf
+    assert s.lower[3] == -math.inf and s.upper[3] == -0.75
 
 
 def test_quantization_rejects_non_level_observation():
-    with pytest.raises(ValueError, match="representable level"):
-        IntervalSet.from_quantization(np.array([0.3]), 0.25, 1.0)
+    with pytest.raises(ValueError, match="not an output of quant:3"):
+        DistortionSpec.quantization(3).preimage(np.array([0.3]))
 
 
-def test_quantization_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        IntervalSet.from_quantization(np.array([0.125]), 0.0, 1.0)
+def _parent_preimage(spec, y):
+    """The two pre-image constructors the package had before one rule read
+    every box off the forward map, written plainly. Kept as the reference
+    the rule must match bit for bit up to 30 bits."""
+    level_tol = 1e-9
+    if spec.kind == "clip":
+        theta = spec.param
+        if (y > theta).any() or (y < -theta).any():
+            raise ValueError("observation contains samples outside the clipping range")
+        lower, upper = y.copy(), y.copy()
+        upper[y == theta] = np.inf
+        lower[y == -theta] = -np.inf
+        return IntervalSet(lower, upper)
+    delta = spec.delta
+    top = 1.0 - delta / 2.0
+    level = np.clip(delta * (np.floor(y / delta) + 0.5), -top, top)
+    if (np.abs(y - level) > level_tol).any():
+        raise ValueError("not a representable level")
+    lower, upper = y - delta / 2.0, y + delta / 2.0
+    upper[y >= top - level_tol] = np.inf
+    lower[y <= -top + level_tol] = -np.inf
+    return IntervalSet(lower, upper)
+
+
+def _extreme(spec):
+    """The largest output of the clipper or the quantizer."""
+    return spec.param if spec.kind == "clip" else 1.0 - spec.delta / 2.0
+
+
+def _decision(spec, y, build):
+    try:
+        return build(spec, y)
+    except ValueError:
+        return None
+
+
+def _assert_same_box(a, b):
+    assert a.lower.tobytes() == b.lower.tobytes()
+    assert a.upper.tobytes() == b.upper.tobytes()
+
+
+def test_preimage_matches_the_parent_constructors_up_to_30_bits():
+    rng = np.random.Generator(np.random.PCG64(21))
+    specs = [DistortionSpec.quantization(b) for b in range(1, 31)]
+    specs += [DistortionSpec.clipping(t) for t in np.linspace(0.05, 1.5, 30)]
+    for spec in specs:
+        x = rng.uniform(-1.5, 1.5, size=400)
+        # the samples next to the extreme outputs are where the parent's
+        # tolerance met its saturation test
+        top = _extreme(spec)
+        x[:4] = [top, -top, top - 1e-3 * top, -top + 1e-3 * top]
+        y = spec.apply(x)
+        _assert_same_box(spec.preimage(y), _parent_preimage(spec, y))
+
+
+def test_preimage_refuses_what_the_parent_refused():
+    """Off-level observations get the parent's accept-or-refuse decision
+    sample by sample, except in one band: from 29 bits a quarter bin is
+    narrower than LEVEL_TOL, and the rule refuses an observation more than
+    a quarter bin off its level where the parent accepted it."""
+    rng = np.random.Generator(np.random.PCG64(22))
+    narrowed = 0
+    for n_bits in range(1, 31):
+        spec = DistortionSpec.quantization(n_bits)
+        levels = spec.apply(rng.uniform(-1.2, 1.2, size=6))
+        offsets = np.concatenate([
+            rng.uniform(-2.0, 2.0, size=40) * spec.delta,  # anywhere in nearby bins
+            [spec.delta / 2, -spec.delta / 2, 1e-10, 5e-10, 9.9e-10, 1.1e-9, 1e-8, 0.3],
+        ])
+        for y in np.add.outer(levels, offsets).ravel()[:, None]:
+            new = _decision(spec, y, DistortionSpec.preimage)
+            old = _decision(spec, y, _parent_preimage)
+            off = abs(float(spec.apply(y)[0] - y[0]))
+            if new is None and old is not None:
+                assert spec.delta / 4 < off <= operators.LEVEL_TOL
+                narrowed += 1
+            else:
+                assert (new is None) == (old is None)
+                if new is not None:
+                    _assert_same_box(new, old)
+    assert narrowed > 0
+    for theta in np.linspace(0.05, 1.5, 30):
+        spec = DistortionSpec.clipping(theta)
+        for y in rng.uniform(-1.6, 1.6, size=(20, 1)):
+            new = _decision(spec, y, DistortionSpec.preimage)
+            old = _decision(spec, y, _parent_preimage)
+            assert (new is None) == (old is None)
+
+
+@pytest.mark.parametrize("n_bits", range(31, 53))
+def test_fine_quantizer_saturates_only_the_outermost_levels(n_bits):
+    # The parent's absolute tolerance of 1e-9 exceeded the distance to the
+    # next level down from 31 bits, so it left interior levels unbounded,
+    # and from 30 bits it read a bin edge as a level.
+    spec = DistortionSpec.quantization(n_bits)
+    delta = spec.delta
+    top = 1.0 - delta / 2.0
+    y = np.array([top, top - delta, top - 2 * delta, delta / 2, -top + delta, -top])
+    s = spec.preimage(y)
+    np.testing.assert_array_equal(np.isinf(s.upper), [True, False, False, False, False, False])
+    np.testing.assert_array_equal(np.isinf(s.lower), [False, False, False, False, False, True])
+    for edge in (top - delta / 2, delta, -delta):
+        with pytest.raises(ValueError, match="not an output"):
+            spec.preimage(np.array([edge]))
+
+
+@given(
+    st.one_of(
+        st.floats(0, 2, exclude_min=True).map(DistortionSpec.clipping),
+        st.integers(1, 52).map(DistortionSpec.quantization),
+    ),
+    arrays(np.float64, st.integers(1, 12), elements=st.floats(-3, 3, allow_nan=False)),
+)
+@settings(max_examples=300, deadline=None)
+def test_preimage_rule_holds_at_every_level_and_bit_depth(spec, x):
+    y = spec.apply(x)
+    assert np.array_equal(spec.apply(y), y)
+    s = spec.preimage(y)
+    assert s.contains(x)
+    np.testing.assert_array_equal(np.isposinf(s.upper), y == _extreme(spec))
+    np.testing.assert_array_equal(np.isneginf(s.lower), y == -_extreme(spec))
+    if spec.kind == "quant":
+        edges = y + spec.delta / 2
+        for edge in edges[np.abs(edges) < 1.0]:
+            with pytest.raises(ValueError, match="not an output"):
+                spec.preimage(np.array([edge]))
 
 
 def test_singleton_is_degenerate():

@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from sparse_consist import (
-    Dictionary,
-    DimensionMismatch,
-    DistortionSpec,
-    clip,
-    power_iteration_gram,
-    quantize_midriser,
-)
+from sparse_consist import Dictionary, DimensionMismatch, DistortionSpec, power_iteration_gram
 from sparse_consist import operators
 from sparse_consist.operators import LIPSCHITZ_SAFETY
 
@@ -30,13 +23,8 @@ def _random_dictionary(seed, n=8, m=13):
 def test_clip_examples():
     x = np.array([-2.0, -0.6, 0.1, 0.6, 2.0])
     np.testing.assert_array_equal(
-        clip(x, 0.6, -0.6), np.array([-0.6, -0.6, 0.1, 0.6, 0.6])
+        DistortionSpec.clipping(0.6).apply(x), np.array([-0.6, -0.6, 0.1, 0.6, 0.6])
     )
-
-
-def test_clip_rejects_inverted_thresholds():
-    with pytest.raises(ValueError):
-        clip(np.zeros(2), -0.5, 0.5)
 
 
 def test_quantizer_bin_width_is_exact():
@@ -47,7 +35,7 @@ def test_quantizer_bin_width_is_exact():
 def test_quantizer_examples_at_3_bits():
     # delta = 0.25; outputs are odd multiples of 0.125, clamped to +-0.875
     x = np.array([0.0, 0.1, 0.24, 0.26, -0.1, 5.0, -5.0])
-    q = quantize_midriser(x, 3)
+    q = DistortionSpec.quantization(3).apply(x)
     np.testing.assert_allclose(
         q, np.array([0.125, 0.125, 0.125, 0.375, -0.125, 0.875, -0.875])
     )
@@ -56,7 +44,7 @@ def test_quantizer_examples_at_3_bits():
 def test_quantizer_never_emits_zero():
     rng = np.random.Generator(np.random.PCG64(5))
     for n_bits in (1, 2, 3, 6):
-        q = quantize_midriser(rng.uniform(-2, 2, size=500), n_bits)
+        q = DistortionSpec.quantization(n_bits).apply(rng.uniform(-2, 2, size=500))
         assert not (q == 0.0).any()
 
 
@@ -64,7 +52,7 @@ def test_quantizer_outputs_are_odd_multiples_of_half_delta():
     rng = np.random.Generator(np.random.PCG64(6))
     for n_bits in (2, 3, 5):
         delta = 2.0 ** (1 - n_bits)
-        q = quantize_midriser(rng.uniform(-1.5, 1.5, size=300), n_bits)
+        q = DistortionSpec.quantization(n_bits).apply(rng.uniform(-1.5, 1.5, size=300))
         ratio = q / (delta / 2.0)
         np.testing.assert_allclose(ratio, np.round(ratio), atol=1e-12)
         assert (np.abs(np.round(ratio)) % 2 == 1).all()
@@ -72,15 +60,16 @@ def test_quantizer_outputs_are_odd_multiples_of_half_delta():
 
 
 def test_quantizer_rejects_bad_bit_depth():
-    with pytest.raises(ValueError):
-        quantize_midriser(np.zeros(3), 0)
+    for n_bits in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="bit depth"):
+            DistortionSpec.quantization(n_bits)
 
 
 @given(st.integers(1, 8), st.floats(-3, 3, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_quantizer_output_is_nearest_level_or_clamp(n_bits, value):
     delta = 2.0 ** (1 - n_bits)
-    (q,) = quantize_midriser(np.array([value]), n_bits)
+    (q,) = DistortionSpec.quantization(n_bits).apply(np.array([value]))
     if abs(value) < 1.0 - delta / 2.0:
         # interior: the bin centre is within delta/2 of the input
         assert abs(q - value) <= delta / 2.0 + 1e-12

@@ -1,8 +1,14 @@
-"""Every solve on a small hostile instance ends in a typed outcome."""
+"""Every solve on a small hostile instance ends in a typed outcome, and
+every malformed command line in one error line."""
 
+import io
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +19,7 @@ from sparse_consist import (
     DistortionSpec,
     IntervalSet,
     SolverConfig,
-    clip,
+    cli,
 )
 from sparse_consist.experiments import SOLVER_NAMES, run_solver
 
@@ -72,8 +78,8 @@ def _clip_probe(scale):
     is scaled by ``scale``."""
     rng = np.random.default_rng(10)
     d = Dictionary(rng.standard_normal((8, 16)) * scale)
-    y = clip(rng.standard_normal(8), 0.5, -0.5)
-    return d, DistortionSpec.clipping(0.5).preimage(y)
+    clip = DistortionSpec.clipping(0.5)
+    return d, clip.preimage(clip.apply(rng.standard_normal(8)))
 
 
 @given(st.sampled_from(SOLVER_NAMES), problems(), st.floats(0, 1))
@@ -98,3 +104,106 @@ def test_every_solve_stops_for_a_stated_reason_or_raises_value_error(name, probl
     assert trace.stop_reason in STOP_REASONS
     if trace.stop_reason != "non_finite":
         assert np.isfinite(alpha).all()
+
+
+# ----------------------------------------------------------------------
+# the command line
+
+# Parameters that are not numbers, or not a float Python reads.
+NOT_NUMBERS = st.sampled_from(["", "abc", "1.2.3", "0x1", "1e", "--", "4,", "clip:0.5"])
+# Clip levels the clipper refuses: zero, negative or NaN.
+BAD_LEVELS = st.one_of(
+    st.floats(max_value=0.0, allow_nan=False).map(repr), st.just("nan"), NOT_NUMBERS
+)
+# Bit depths the quantizer refuses: fractional, below 1, infinite or NaN.
+BAD_DEPTHS = st.one_of(
+    st.integers(max_value=0).map(str),
+    st.floats(allow_nan=False).filter(lambda v: not (v.is_integer() and v >= 1)).map(repr),
+    st.sampled_from(["inf", "-inf", "nan"]),
+    NOT_NUMBERS,
+)
+
+
+@st.composite
+def bad_descriptors(draw):
+    """``--distortion`` text that ``DistortionSpec.parse`` must refuse."""
+    case = draw(st.sampled_from(["kind", "missing", "none", "clip", "quant"]))
+    if case == "kind":  # letters that spell none of clip, quant, none
+        text = draw(st.text("abdfghjkmrsvwxyz", min_size=1, max_size=6))
+        tail = draw(st.one_of(st.none(), st.floats(0.1, 8).map(repr)))
+        return text if tail is None else f"{text}:{tail}"
+    if case == "missing":
+        return draw(st.sampled_from(["clip", "quant", " clip ", "quant:"]))
+    if case == "none":
+        return "none:" + draw(st.one_of(st.floats(allow_nan=False).map(repr), NOT_NUMBERS))
+    return f"{case}:" + draw(BAD_LEVELS if case == "clip" else BAD_DEPTHS)
+
+
+@st.composite
+def bad_grids(draw, kind):
+    """``--grid`` text with at least one entry the sweep must refuse, or no
+    entry at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(["", ",", " , ,", "  "]))
+    good = st.sampled_from(["0.2", "0.6", " 1.5"] if kind == "clip" else ["2", "4", " 6"])
+    entries = draw(st.lists(good, max_size=3))
+    # a blank entry is skipped, not refused, and a comma would split one
+    bad = draw(
+        (BAD_LEVELS if kind == "clip" else BAD_DEPTHS).filter(lambda t: t.strip() and "," not in t)
+    )
+    entries.insert(draw(st.integers(0, len(entries))), bad)
+    return ",".join(entries)
+
+
+@pytest.fixture(scope="module")
+def instance():
+    """Paths of a small dictionary and observation for ``solve``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        rng = np.random.default_rng(0)
+        Dictionary(rng.standard_normal((4, 8))).save(d / "dictionary.bin")
+        np.savetxt(d / "y.txt", rng.uniform(-0.5, 0.5, size=4))
+        yield d
+
+
+def _run_cli(argv):
+    """Exit code and standard error of one ``cli.main`` call."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+def _assert_one_error_line(rc, err):
+    assert rc == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
+@given(bad_descriptors())
+@example("--")  # argparse stores an empty list for --distortion=--
+@settings(max_examples=60, deadline=None)
+def test_malformed_distortions_exit_2_with_one_error_line(instance, descriptor):
+    for argv in (
+        ["gen", "--n", "4", "--m", "8", "--k-sparse", "1", "--out", str(instance / "gen")],
+        ["solve", "--dict", str(instance / "dictionary.bin"),
+         "--observation", str(instance / "y.txt"), "--out", str(instance / "r.json")],
+    ):
+        _assert_one_error_line(*_run_cli([*argv, f"--distortion={descriptor}"]))
+    assert sorted(p.name for p in instance.iterdir()) == ["dictionary.bin", "y.txt"]
+
+
+@given(bad_grids("clip"), bad_grids("quant"))
+@example("--", "--")
+@settings(max_examples=60, deadline=None)
+def test_malformed_grids_exit_2_with_one_error_line(instance, clip_grid, quant_grid):
+    # a small, fast sweep, should a grid slip through
+    small = ["--n", "4", "--m", "8", "--k-sparse", "1", "--trials", "1", "--jobs", "1",
+             "--max-iter", "5", "--out", str(instance / "b.csv")]
+    for argv in (
+        ["declip-bench", f"--grid={clip_grid}"],
+        ["dequant-bench", f"--grid={quant_grid}"],
+    ):
+        _assert_one_error_line(*_run_cli([*argv, *small]))
+    assert sorted(p.name for p in instance.iterdir()) == ["dictionary.bin", "y.txt"]

@@ -279,9 +279,12 @@ def test_solver_config_validation():
         dict(step=math.nan),
         dict(step=math.inf),
         dict(rel_tol=math.nan),
+        dict(max_iter=2.5),
+        dict(max_iter=400.0),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
 
 
 def test_result_json_round_trip():
