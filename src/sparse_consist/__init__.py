@@ -22,7 +22,6 @@ from .solvers import (
     soft_threshold,
     solve_admm_constrained,
     solve_fista,
-    solve_fista_bpdn,
     solve_ista,
 )
 from .experiments import (

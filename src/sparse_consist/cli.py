@@ -79,10 +79,10 @@ def _solver_configs(args) -> tuple[SolverConfig, AdmmConfig]:
 def cmd_gen(args) -> int:
     out = args.out
     dspec = DistortionSpec.parse(args.distortion)
-    os.makedirs(out, exist_ok=True)
     dictionary = gen_dictionary(args.seed, args.n, args.m)
     alpha, x = gen_sparse_signal(args.seed + SIGNAL_SEED_OFFSET, dictionary, args.k_sparse)
     y = dspec.apply(x)
+    os.makedirs(out, exist_ok=True)  # after every input check, so a refusal leaves nothing
 
     dictionary.save(os.path.join(out, "dictionary.bin"))
     np.savetxt(os.path.join(out, "alpha_true.txt"), alpha, fmt="%.18e")

@@ -51,6 +51,8 @@ CSV_HEADER = "task,solver,distortion_param,mean_snr_db,std_snr_db,mean_iters,mea
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -156,8 +158,16 @@ class ExperimentSpec:
             raise ValueError("k_sparse must lie in [1, m]")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.distortion_grid:
             raise ValueError("distortion_grid must be non-empty")
+        grid = self.distortion_grid
+        if not all(isinstance(d, DistortionSpec) for d in grid):
+            raise ValueError(f"distortion_grid must hold DistortionSpecs, got {grid}")
+        if len(set(grid)) != len(grid):
+            labels = ",".join(d.label() for d in grid)
+            raise ValueError(f"distortion_grid must not repeat, got {labels}")
         if not self.solvers:
             raise ValueError("solvers must be non-empty")
         for name in self.solvers:

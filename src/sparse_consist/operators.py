@@ -28,6 +28,11 @@ LIPSCHITZ_SAFETY = 1.01
 # never read as a level however fine the bins.
 LEVEL_TOL = 1e-9
 
+# The finest quantizer. Up to 52 bits its levels, bin edges and half bins
+# are exact in float64; at 54 bits a pre-image can miss the signal that
+# produced it.
+MAX_BITS = 52
+
 _MAGIC = b"SPCD"
 _FORMAT_VERSION = 1
 
@@ -283,8 +288,8 @@ class DistortionSpec:
         object.__setattr__(self, "param", param)
         if self.kind == "clip" and not param > 0.0:
             raise ValueError(f"clip level must be positive, got {param}")
-        if self.kind == "quant" and not (param.is_integer() and param >= 1.0):
-            raise ValueError(f"bit depth must be an integer >= 1, got {param}")
+        if self.kind == "quant" and not (param.is_integer() and 1.0 <= param <= MAX_BITS):
+            raise ValueError(f"bit depth must be an integer from 1 to {MAX_BITS}, got {param}")
 
     @classmethod
     def clipping(cls, theta: float) -> "DistortionSpec":

@@ -7,10 +7,10 @@ target
 
 where d is the Euclidean distance to the feasibility box C; the baseline
 instead minimizes ||alpha||_1 subject to D alpha in C. ISTA and FISTA share
-one engine so that their iterates are comparable operation for operation,
-and the classic basis-pursuit denoising solver is the same engine on the
-singleton set ``{x}``: projecting onto a point returns that point exactly,
-so its residual is ``D alpha - x`` to the last bit.
+one engine so that their iterates are comparable operation for operation.
+Basis-pursuit denoising is FISTA on the identity's pre-image, the singleton
+set ``{x}``: projecting onto a point returns it exactly, so the residual is
+``D alpha - x`` to the last bit.
 """
 
 from __future__ import annotations
@@ -320,25 +320,6 @@ def solve_fista(
     """Accelerated forward-backward iteration with the standard t-sequence."""
     _check_set_length(dictionary, iset)
     return _fista_engine(dictionary, iset, config, momentum=True)
-
-
-def solve_fista_bpdn(
-    dictionary: Dictionary,
-    target,
-    config: SolverConfig = SolverConfig(),
-):
-    """Accelerated solver for ``0.5 * ||D alpha - x||^2 + lam * ||alpha||_1``.
-
-    This is :func:`solve_fista` on the singleton set ``{x}``: projecting
-    onto a point gives ``min(x, max(x, z)) = x`` exactly, so the residual is
-    ``D alpha - x`` to the last bit. The target must be finite.
-    """
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (dictionary.n,):
-        raise DimensionMismatch(
-            f"target has shape {target.shape}, expected ({dictionary.n},)"
-        )
-    return _fista_engine(dictionary, IntervalSet.singleton(target), config, momentum=True)
 
 
 def cho_solve(factor, rhs: np.ndarray) -> np.ndarray:

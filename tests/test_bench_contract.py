@@ -1,22 +1,32 @@
 """The benchmark's instrumentation still finds every package name it uses.
 
 ``perfbench/`` reads the package from outside: ``spans.py`` patches methods
-and module functions by name, and ``kernels.py`` imports public names. A
-refactor that renames or moves one of them would otherwise show only when a
-traced benchmark run fails. These tests import ``perfbench/`` from its own
-directory and write nothing there.
+and module functions by name, ``kernels.py`` imports public names, and
+``run.py`` builds the specs of every call. A refactor that renames or moves
+one of them, or a new check that refuses one of those specs, would otherwise
+show only when a benchmark run fails. These tests import ``perfbench/`` from
+its own directory and write nothing there.
 """
 
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from sparse_consist import AdmmConfig, DistortionSpec, ExperimentSpec, SolverConfig, experiments
+import sparse_consist
+from sparse_consist import (
+    AdmmConfig,
+    AggregateResult,
+    DistortionSpec,
+    ExperimentSpec,
+    SolverConfig,
+    experiments,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-MODULES = ("kernels", "layers", "spans")
+MODULES = ("kernels", "layers", "spans", "run")
 
 
 @pytest.fixture
@@ -71,3 +81,32 @@ def test_kernel_timings_run_on_the_public_names(perfbench):
         "kernel.lipschitz_ms", "kernel.ridge_factor_ms", "kernel.admm_inner_round_us",
     }
     assert all(math.isfinite(v) and v > 0.0 for v in out.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_spec_the_benchmark_builds_passes_the_spec_checks(perfbench, monkeypatch, seed):
+    import run
+
+    built = []
+
+    def record(spec, jobs=1):
+        built.append(spec)
+        return AggregateResult(input_snr_db=(), per_point=(), trials=spec.trials)
+
+    # run_timing_table builds its grid and calls run_experiment by this name
+    monkeypatch.setattr(experiments, "run_experiment", record)
+    rec = SimpleNamespace(results=[], outcomes=[])
+    for workload in run.WORKLOADS.values():
+        bench = run.Bench(sparse_consist, workload, seed)
+        built.clear()
+        # the quality calls and a few seeded ones after them
+        calls = workload.quality_calls + 3
+        for index in range(calls):
+            assert not bench.run_call(rec, index).raised, (workload.name, index)
+        if workload.probe_trials:
+            bench.probe(rec)
+            assert built[-1].solvers == ("admm",)
+        assert len(built) == calls + (1 if workload.probe_trials else 0)
+        if workload.timing_table:
+            labels = [d.label() for d in built[0].distortion_grid]
+            assert labels == ["clip:0.6", "quant:4"]

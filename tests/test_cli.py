@@ -188,6 +188,16 @@ def test_bad_seed_env_exits_2(tmp_path, monkeypatch):
     assert rc == 2
 
 
+def test_negative_seed_exits_2_before_gen_writes_anything(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "g"
+    assert main(["gen", *SMALL, "--seed", "-1", "--out", str(out)]) == 2
+    monkeypatch.setenv(ENV_SEED, "-1")
+    assert main(["gen", *SMALL, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: seed must be non-negative, got -1"] * 2
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # benchmark subcommands
 
@@ -248,11 +258,15 @@ def test_bench_rejects_bad_grids(tmp_path, capsys):
         ["declip-bench", "--grid", "nan"],
         ["timing", "--quant-grid", "inf"],
         ["declip-bench", "--solvers", "fista,fista"],
+        ["declip-bench", "--grid", "0.5,0.5"],
+        ["timing", "--clip-grid", "0.5,0.50"],
+        ["dequant-bench", "--grid", "53"],
     ):
         assert main([*argv, *SMALL, "--out", str(tmp_path / "b.csv")]) == 2
     assert main(["gen", "--distortion", "quant:inf", "--out", str(tmp_path / "g")]) == 2
+    assert main(["gen", "--distortion", "quant:53", "--out", str(tmp_path / "g")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 9 and all(line.startswith("error: ") for line in err)
+    assert len(err) == 13 and all(line.startswith("error: ") for line in err)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -17,63 +17,13 @@ from sparse_consist import (
     gen_sparse_signal,
     objective,
     solve_fista,
-    solve_fista_bpdn,
     solve_ista,
 )
 from sparse_consist.solvers import _kkt_from_gradient
 
+from reference_loop import box_residual, reference_loop
+
 PROTOCOL = dict(n=256, m=512, k_sparse=16)
-
-
-def _reference_loop(matrix, residual, config, step, momentum):
-    """The forward-backward loop written plainly: fresh arrays every
-    iteration, two projections per iteration, a separate l1 pass. Kept as
-    the reference the engine must match bit for bit.
-
-    Returns ``(alpha, objectives, final_gradient)``.
-    """
-    lam = config.lam
-    thresh = step * lam
-    alpha = (
-        np.zeros(matrix.shape[1])
-        if config.alpha0 is None
-        else np.array(config.alpha0, dtype=np.float64)
-    )
-    z_alpha = matrix @ alpha
-    u, z_u, t = alpha, z_alpha, 1.0
-    r0 = residual(z_alpha)
-    obj = 0.5 * float(r0 @ r0) + lam * float(np.abs(alpha).sum())
-    objectives = []
-    flat_streak = 0
-    for _ in range(config.max_iter):
-        g = matrix.T @ residual(z_u)
-        v = u - step * g
-        alpha_next = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
-        z_next = matrix @ alpha_next
-        r = residual(z_next)
-        obj_prev = obj
-        obj = 0.5 * float(r @ r) + lam * float(np.abs(alpha_next).sum())
-        objectives.append(obj)
-        if momentum:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            w = (t - 1.0) / t_next
-            u = alpha_next + w * (alpha_next - alpha)
-            z_u = z_next + w * (z_next - z_alpha)
-            t = t_next
-        else:
-            u, z_u = alpha_next, z_next
-        alpha, z_alpha = alpha_next, z_next
-        if abs(obj - obj_prev) / max(obj_prev, 1e-12) < config.rel_tol:
-            flat_streak += 1
-            if flat_streak >= 2:
-                break
-        else:
-            flat_streak = 0
-    return alpha, np.asarray(objectives), matrix.T @ residual(z_alpha)
-
-
-def _box_residual(iset):
-    return lambda z: z - np.minimum(iset.upper, np.maximum(iset.lower, z))
 
 
 def _protocol_case(seed, label):
@@ -103,10 +53,12 @@ def test_engine_matches_the_reference_loop_bit_for_bit(label, rel_tol):
     warm = SolverConfig(lam=1e-2, max_iter=120, rel_tol=rel_tol, alpha0=warm_start)
     for config in (cold, warm):
         for solver, momentum in ((solve_ista, False), (solve_fista, True)):
-            ref = _reference_loop(dic.matrix, _box_residual(iset), config, step, momentum)
+            ref = reference_loop(dic.matrix, box_residual(iset), config, step, momentum)
             _assert_same_run(solver(dic, iset, config), ref, config.lam)
-        ref = _reference_loop(dic.matrix, lambda z: z - x, config, step, True)
-        _assert_same_run(solve_fista_bpdn(dic, x, config), ref, config.lam)
+        # denoising: FISTA on the identity's pre-image, the singleton {x}
+        ref = reference_loop(dic.matrix, lambda z: z - x, config, step, True)
+        denoise = DistortionSpec.identity().preimage(x)
+        _assert_same_run(solve_fista(dic, denoise, config), ref, config.lam)
 
 
 # ----------------------------------------------------------------------

@@ -160,6 +160,12 @@ def test_spec_validation():
         _small_spec(k_sparse=33)
     with pytest.raises(ValueError, match="repeat"):
         _small_spec(solvers=("fista", "fista"))
+    with pytest.raises(ValueError, match="seed"):
+        _small_spec(seed=-1)
+    with pytest.raises(ValueError, match="distortion_grid"):
+        _small_spec(distortion_grid=("clip:0.5",))
+    with pytest.raises(ValueError, match="repeat"):
+        _small_spec(distortion_grid=(DistortionSpec.clipping(0.5), DistortionSpec.parse("clip:.50")))
     for field in ("n", "m", "k_sparse", "trials", "seed"):
         with pytest.raises(ValueError, match=field):
             _small_spec(**{field: 1.5})

@@ -60,7 +60,7 @@ def test_quantizer_outputs_are_odd_multiples_of_half_delta():
 
 
 def test_quantizer_rejects_bad_bit_depth():
-    for n_bits in (0, -3, 2.5):
+    for n_bits in (0, -3, 2.5, 53, 1100):
         with pytest.raises(ValueError, match="bit depth"):
             DistortionSpec.quantization(n_bits)
 

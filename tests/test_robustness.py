@@ -115,10 +115,12 @@ NOT_NUMBERS = st.sampled_from(["", "abc", "1.2.3", "0x1", "1e", "--", "4,", "cli
 BAD_LEVELS = st.one_of(
     st.floats(max_value=0.0, allow_nan=False).map(repr), st.just("nan"), NOT_NUMBERS
 )
-# Bit depths the quantizer refuses: fractional, below 1, infinite or NaN.
+# Bit depths the quantizer refuses: fractional, below 1, above 52, infinite
+# or NaN.
 BAD_DEPTHS = st.one_of(
     st.integers(max_value=0).map(str),
-    st.floats(allow_nan=False).filter(lambda v: not (v.is_integer() and v >= 1)).map(repr),
+    st.integers(min_value=53).map(str),
+    st.floats(allow_nan=False).filter(lambda v: not (v.is_integer() and 1 <= v <= 52)).map(repr),
     st.sampled_from(["inf", "-inf", "nan"]),
     NOT_NUMBERS,
 )

@@ -21,7 +21,6 @@ from sparse_consist import (
     result_to_json_obj,
     soft_threshold,
     solve_fista,
-    solve_fista_bpdn,
     solve_ista,
 )
 from sparse_consist.solvers import momentum_next
@@ -237,27 +236,6 @@ def test_vanishing_penalty_drives_iterates_toward_the_set():
             dists.append(iset.distance_sq(dic.synthesize(alpha)))
         for a, b in zip(dists, dists[1:]):
             assert b <= a + 1e-10
-
-
-# ----------------------------------------------------------------------
-# degeneration to the classical denoiser
-
-
-def test_singleton_set_reproduces_the_denoising_solver_bitwise():
-    for seed in (40, 41, 42, 43, 44):
-        dic = gen_dictionary(seed, 10, 20)
-        _, x = gen_sparse_signal(seed + SIGNAL_SEED_OFFSET, dic, 4)
-        cfg = SolverConfig(lam=1e-2, max_iter=200, rel_tol=0.0)
-        a_set, tr_set = solve_fista(dic, IntervalSet.singleton(x), cfg)
-        a_bpdn, tr_bpdn = solve_fista_bpdn(dic, x, cfg)
-        assert np.array_equal(a_set, a_bpdn)
-        assert np.array_equal(tr_set.objective_per_iter, tr_bpdn.objective_per_iter)
-
-
-def test_bpdn_validates_target_shape():
-    dic = gen_dictionary(45, 6, 9)
-    with pytest.raises(DimensionMismatch):
-        solve_fista_bpdn(dic, np.zeros(5))
 
 
 # ----------------------------------------------------------------------
