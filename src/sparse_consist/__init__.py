@@ -15,9 +15,8 @@ from .solvers import (
     AdmmConfig,
     SolverConfig,
     SolverTrace,
+    certificate,
     inner_projection,
-    kkt_residual,
-    objective,
     result_to_json_obj,
     soft_threshold,
     solve_admm_constrained,

@@ -148,6 +148,10 @@ def _run_bench(args, grid: tuple) -> int:
             print(f"wrote {path}")
     if result.failure_count:
         print(f"warning: {result.failure_count} solver runs failed", file=sys.stderr)
+        for s in result.per_point:
+            if s.failures:
+                reasons = ", ".join(f"{reason} x{count}" for reason, count in s.failure_reasons)
+                print(f"  {s.distortion.label()} {s.solver}: {reasons}", file=sys.stderr)
         if args.strict:
             return 1
     return 0

@@ -57,15 +57,17 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
-    """Standard normal draws via inverse CDF of (k + 1/2) / 2^53.
+    """Standard normal draws via inverse CDF of u = (k + 1/2) / 2^53.
 
+    For k >= 2^52 the added half rounds to the even neighbour, so k = 2^53 - 1
+    gives u = 1; u is clamped below 1, which changes no other draw.
     scipy.special is imported on the first draw, not with this module.
     """
     from scipy.special import ndtri
 
     k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
     u = (k.astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    return ndtri(np.minimum(u, 1.0 - 2.0**-53, out=u))
 
 
 def sample_support(rng: np.random.Generator, m: int, k: int) -> np.ndarray:

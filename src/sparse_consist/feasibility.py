@@ -5,8 +5,9 @@ signal to an interval: exactly-known samples pin it to a point, saturated
 samples leave it unbounded on one side, quantized samples confine it to a
 bin. The full constraint set is therefore a box (a product of closed
 intervals, possibly unbounded), so the Euclidean projection is an
-element-wise clamp, and the squared distance to the set and its gradient
-follow directly from the projection difference.
+element-wise clamp, and the gradient of half the squared distance to the
+set is the projection difference ``x - project(x)``. The solvers' objective
+is built on that residual; ``solvers.certificate`` evaluates it.
 """
 
 from __future__ import annotations
@@ -84,22 +85,8 @@ class IntervalSet:
         self._check_length(x)
         return np.minimum(self.upper, np.maximum(self.lower, x, out=out), out=out)
 
-    def distance_sq(self, x) -> float:
-        """Squared Euclidean distance from ``x`` to the set."""
-        x = _as_vector(x)
-        self._check_length(x)
-        diff = x - self.project(x)
-        return float(diff @ diff)
-
     def grad_half_distance_sq(self, x, out=None) -> np.ndarray:
-        """Gradient of ``0.5 * distance_sq`` at ``x``, i.e. ``x - project(x)``,
-        written into ``out`` when it is given (``out`` must not be ``x``)."""
+        """Gradient of half the squared distance to the set at ``x``, i.e.
+        ``x - project(x)``, written into ``out`` when it is given (``out``
+        must not be ``x``)."""
         return np.subtract(x, self.project(x, out=out), out=out)
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        """Whether ``x`` lies in the set, loosened by ``tol`` on each side."""
-        if tol < 0.0:
-            raise ValueError("tol must be non-negative")
-        x = _as_vector(x)
-        self._check_length(x)
-        return bool(((x >= self.lower - tol) & (x <= self.upper + tol)).all())

@@ -7,10 +7,11 @@ target
 
 where d is the Euclidean distance to the feasibility box C; the baseline
 instead minimizes ||alpha||_1 subject to D alpha in C. ISTA and FISTA share
-one engine so that their iterates are comparable operation for operation.
-Basis-pursuit denoising is FISTA on the identity's pre-image, the singleton
-set ``{x}``: projecting onto a point returns it exactly, so the residual is
-``D alpha - x`` to the last bit.
+one engine so that their iterates are comparable operation for operation,
+and :func:`certificate` scores any answer by the engine's own objective and
+KKT residual. Basis-pursuit denoising is FISTA on the identity's pre-image,
+the singleton set ``{x}``: projecting onto a point returns it exactly, so
+the residual is ``D alpha - x`` to the last bit.
 """
 
 from __future__ import annotations
@@ -49,24 +50,21 @@ def momentum_next(t: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
 
-def objective(dictionary: Dictionary, iset: IntervalSet, alpha, lam: float) -> float:
-    """Penalized objective ``0.5 * d^2(D alpha, C) + lam * ||alpha||_1``."""
-    z = dictionary.synthesize(alpha)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return 0.5 * iset.distance_sq(z) + lam * float(np.abs(alpha).sum())
+def certificate(dictionary: Dictionary, iset: IntervalSet, alpha, lam: float):
+    """``(objective, kkt_residual)`` of ``alpha``.
 
-
-def kkt_residual(dictionary: Dictionary, iset: IntervalSet, alpha, lam: float) -> float:
-    """Worst-case violation of the first-order optimality conditions.
-
-    On the support the smooth gradient must cancel ``lam * sign(alpha)``; off
-    the support its magnitude must not exceed lam. Returns the largest
-    violation across coordinates, zero at an exact minimizer.
+    The objective is ``0.5 * d^2(D alpha, C) + lam * ||alpha||_1``; the KKT
+    residual is the worst violation of the first-order optimality conditions
+    (on the support the smooth gradient must cancel ``lam * sign(alpha)``,
+    off it its magnitude must not exceed lam), zero at an exact minimizer.
+    It uses the engine's arithmetic, so on an answer of :func:`solve_ista`
+    or :func:`solve_fista` it equals ``(trace.objective_per_iter[-1],
+    trace.kkt_residual_final)`` bit for bit.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    z = dictionary.synthesize(alpha)
-    grad = dictionary.correlate(iset.grad_half_distance_sq(z))
-    return _kkt_from_gradient(grad, alpha, lam)
+    r = iset.grad_half_distance_sq(dictionary.synthesize(alpha))
+    obj = 0.5 * float(r @ r) + lam * float(np.abs(alpha).sum())
+    return obj, _kkt_from_gradient(dictionary.correlate(r), alpha, lam)
 
 
 def _kkt_from_gradient(grad: np.ndarray, alpha: np.ndarray, lam: float) -> float:
@@ -401,8 +399,9 @@ def solve_admm_constrained(
     long period instead of settling, and the smallest-gap snapshot is then
     strictly better than whatever phase the budget ran out at. The returned
     point's synthesized image lies in C up to the inner tolerance. The trace
-    objective history is the l1 norm per outer iteration and the final
-    residual field holds ``max(primal, dual)`` at exit.
+    objective history is, per outer iteration, the l1 norm of the point the
+    run would return if it stopped there; the final residual field holds
+    ``max(primal, dual)`` at exit.
     """
     _check_set_length(dictionary, iset)
     m = dictionary.m
@@ -415,6 +414,7 @@ def solve_admm_constrained(
     v = np.zeros(m)
     best_beta = beta
     best_r_pri = math.inf
+    best_l1 = 0.0
     l1_history: list[float] = []
     stop_reason = "max_iter"
     last_residual = math.inf
@@ -449,8 +449,9 @@ def solve_admm_constrained(
         if r_pri < best_r_pri:
             best_r_pri = r_pri
             best_beta = beta
+            best_l1 = float(np.abs(beta).sum())
 
-        l1_history.append(float(np.abs(alpha).sum()))
+        l1_history.append(best_l1)
         if r_pri <= eps_pri and s_dual <= eps_dual:
             stop_reason = "converged"
             break

@@ -22,6 +22,7 @@ from sparse_consist import (
     ExperimentSpec,
     IntervalSet,
     SolverConfig,
+    certificate,
     gen_dictionary,
     gen_sparse_signal,
     run_experiment,
@@ -68,8 +69,9 @@ def test_01_distance_gradient_matches_finite_differences():
         for j in range(32):
             e = np.zeros(32)
             e[j] = h
-            f_plus = 0.5 * iset.distance_sq(dic.synthesize(alpha + e))
-            f_minus = 0.5 * iset.distance_sq(dic.synthesize(alpha - e))
+            # with lam = 0 the objective is half the squared distance
+            f_plus = certificate(dic, iset, alpha + e, 0.0)[0]
+            f_minus = certificate(dic, iset, alpha - e, 0.0)[0]
             fd[j] = (f_plus - f_minus) / (2 * h)
         rel = float(np.max(np.abs(fd - grad))) / max(float(np.max(np.abs(grad))), 1e-12)
         worst = max(worst, rel)

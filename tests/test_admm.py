@@ -20,6 +20,7 @@ from sparse_consist import (
     gen_dictionary,
     gen_sparse_signal,
     inner_projection,
+    result_to_json_obj,
     solve_admm_constrained,
 )
 from sparse_consist import operators, solvers
@@ -32,6 +33,11 @@ def _clip_instance(seed, n=6, m=12, k=2, theta=0.5):
     _, x = gen_sparse_signal(seed + SIGNAL_SEED_OFFSET, dic, k)
     dspec = DistortionSpec.clipping(theta)
     return dic, dspec.preimage(dspec.apply(x))
+
+
+def _assert_in_box(iset, x, tol):
+    """x lies in the box, loosened by tol on each side."""
+    assert (x >= iset.lower - tol).all() and (x <= iset.upper + tol).all()
 
 
 def min_l1_via_lp(dic, iset):
@@ -119,7 +125,7 @@ def test_projection_result_is_feasible():
         rng = np.random.Generator(np.random.PCG64(seed))
         u = rng.standard_normal(dic.m) * 3
         beta = inner_projection(dic, iset, u, rho=1.0, iters=3000, tol=1e-10)
-        assert iset.contains(dic.synthesize(beta), tol=1e-8)
+        _assert_in_box(iset, dic.synthesize(beta), tol=1e-8)
 
 
 def test_projection_raises_when_budget_cannot_reach_the_set():
@@ -270,7 +276,7 @@ def test_matches_linear_program_oracle():
         beta, _ = solve_admm_constrained(dic, iset, config)
         reference = min_l1_via_lp(dic, iset)
         assert float(np.abs(beta).sum()) == pytest.approx(reference, abs=1e-5)
-        assert iset.contains(dic.synthesize(beta), tol=1e-6)
+        _assert_in_box(iset, dic.synthesize(beta), tol=1e-6)
 
 
 def test_trace_records_l1_history():
@@ -281,6 +287,22 @@ def test_trace_records_l1_history():
     assert (trace.objective_per_iter >= 0.0).all()
     assert not trace.converged
     assert trace.stop_reason == "max_iter"
+
+
+@pytest.mark.parametrize(
+    "label, max_iter, stop_reason",
+    [("quant:4", 400, "inner_stall"), ("clip:0.6", 5, "max_iter")],
+)
+def test_trace_objective_is_the_l1_norm_of_the_returned_point(label, max_iter, stop_reason):
+    # quant:4 stalls after 3 outer iterations, whose last soft-thresholded
+    # iterate is all zeros while the returned point is not
+    dic, iset = _protocol_case(0, label)
+    beta, trace = solve_admm_constrained(dic, iset, AdmmConfig(max_iter=max_iter))
+    assert trace.stop_reason == stop_reason
+    assert trace.iterations_run > 0
+    l1 = np.abs(beta).sum()
+    assert trace.objective_per_iter[-1] == l1
+    assert result_to_json_obj(beta, trace)["objective"] == l1
 
 
 def test_wall_time_excludes_the_ridge_factorization(monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sparse_consist import AdmmConfig, DistortionSpec, SolverConfig, cli
+from sparse_consist import experiments as exps
 from sparse_consist.cli import ENV_SEED, main
 
 
@@ -135,6 +136,27 @@ def test_solve_writes_valid_json_for_a_diverged_run(tmp_path, monkeypatch):
     assert len(blob["x_hat"]) == 12
 
 
+def test_admm_solve_reports_the_l1_norm_of_its_answer(tmp_path):
+    # at the protocol size (N=256, M=512) this instance stalls after three
+    # outer iterations, whose last soft-thresholded iterate is all zeros
+    out = tmp_path / "instance"
+    assert main(["gen", "--seed", "0", "--distortion", "quant:4", "--out", str(out)]) == 0
+    result = tmp_path / "result.json"
+    rc = main([
+        "solve",
+        "--dict", str(out / "dictionary.bin"),
+        "--observation", str(out / "y.txt"),
+        "--distortion", "quant:4",
+        "--solver", "admm",
+        "--out", str(result),
+    ])
+    assert rc == 0
+    blob = json.loads(result.read_text())
+    assert blob["stop_reason"] == "inner_stall"
+    assert blob["iterations"] == 3
+    assert blob["objective"] == np.abs(np.array(blob["alpha"])).sum() > 0.0
+
+
 # ----------------------------------------------------------------------
 # error exit codes
 
@@ -243,6 +265,26 @@ def test_bench_times_flag_records_floats(tmp_path):
     last = out.read_text().splitlines()[-1].split(",")[6]
     assert last != "NA"
     assert float(last) > 0.0
+
+
+def test_bench_prints_the_failure_reasons_of_each_failing_cell(tmp_path, monkeypatch, capsys):
+    original = exps.run_solver
+
+    def fista_raises(name, *args):
+        if name == "fista":
+            raise RuntimeError("forced failure")
+        return original(name, *args)
+
+    monkeypatch.setattr(exps, "run_solver", fista_raises)
+    argv = ["declip-bench", *SMALL, "--trials", "2", "--grid", "0.4,0.6",
+            "--max-iter", "30", "--jobs", "1", "--out", str(tmp_path / "b.csv")]
+    for extra, rc in (([], 0), (["--strict"], 1)):
+        assert main([*argv, *extra]) == rc
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 4 solver runs failed",
+            "  clip:0.4 fista: RuntimeError x2",
+            "  clip:0.6 fista: RuntimeError x2",
+        ]
 
 
 def test_bench_rejects_bad_grids(tmp_path, capsys):

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_consist import (
     SIGNAL_SEED_OFFSET,
@@ -13,15 +15,16 @@ from sparse_consist import (
     DistortionSpec,
     IntervalSet,
     SolverConfig,
+    certificate,
     gen_dictionary,
     gen_sparse_signal,
-    objective,
     solve_fista,
     solve_ista,
 )
 from sparse_consist.solvers import _kkt_from_gradient
 
 from reference_loop import box_residual, reference_loop
+from test_robustness import boxes, dictionaries
 
 PROTOCOL = dict(n=256, m=512, k_sparse=16)
 
@@ -59,6 +62,33 @@ def test_engine_matches_the_reference_loop_bit_for_bit(label, rel_tol):
         ref = reference_loop(dic.matrix, lambda z: z - x, config, step, True)
         denoise = DistortionSpec.identity().preimage(x)
         _assert_same_run(solve_fista(dic, denoise, config), ref, config.lam)
+
+
+@given(
+    dictionaries().flatmap(lambda d: st.tuples(st.just(d), boxes(d.n))),
+    st.floats(0, 1),
+    st.sampled_from([0.0, 1e-6]),
+)
+@settings(max_examples=200, deadline=None)
+def test_engine_matches_the_reference_loop_on_generated_inputs(problem, lam, rel_tol):
+    dic, iset = problem
+    try:
+        step = 1.0 / dic.estimate_lipschitz()
+    except ValueError:
+        return  # no representable default step; the robustness suite covers it
+    config = SolverConfig(lam=lam, max_iter=30, rel_tol=rel_tol)
+    for solver, momentum in ((solve_ista, False), (solve_fista, True)):
+        alpha, trace = solver(dic, iset, config)
+        # the reference loop has no non-finite stop
+        if trace.stop_reason == "non_finite":
+            continue
+        ref = reference_loop(dic.matrix, box_residual(iset), config, step, momentum)
+        _assert_same_run((alpha, trace), ref, lam)
+        # the certificate scores an answer exactly as its trace does
+        assert certificate(dic, iset, alpha, lam) == (
+            trace.objective_per_iter[-1],
+            trace.kkt_residual_final,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -128,4 +158,4 @@ def test_run_stops_at_the_first_non_finite_objective(solver, stop_at):
     assert np.isfinite(history[:-1]).all()
     assert not math.isfinite(history[-1])
     # the iterate returned is the one whose objective is not finite
-    assert not math.isfinite(objective(dic, iset, alpha, 1e-2))
+    assert not math.isfinite(certificate(dic, iset, alpha, 1e-2)[0])

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import sparse_consist.experiments as exps
 import sparse_consist.operators as operators
@@ -61,6 +62,27 @@ def test_normal_draws_are_seed_deterministic():
 
 def test_normal_draws_match_shape_argument():
     assert standard_normal(make_rng(0), (3, 5)).shape == (3, 5)
+
+
+class _FixedIntegers:
+    """A generator stub whose integer draws all equal ``k``."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def integers(self, low, high, size, dtype):
+        return np.full(size, self.k, dtype=dtype)
+
+
+def test_the_largest_integer_draw_stays_finite():
+    # 2**53 - 1 + 0.5 rounds to 2**53 in float64, which would make u = 1 and
+    # the draw +inf; it is clamped to the largest double below 1
+    top = standard_normal(_FixedIntegers(2**53 - 1), 3)
+    assert np.array_equal(top, np.full(3, ndtri(1.0 - 2.0**-53)))
+    assert np.isfinite(top).all()
+    # the next draw down is unchanged
+    below = standard_normal(_FixedIntegers(2**53 - 2), 1)
+    assert below[0] == ndtri(1.0 - 2.0**-52) < top[0]
 
 
 def test_support_sampling_contract():

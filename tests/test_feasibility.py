@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparse_consist import DimensionMismatch, DistortionSpec, IntervalSet, operators
+from sparse_consist import (
+    Dictionary,
+    DimensionMismatch,
+    DistortionSpec,
+    IntervalSet,
+    certificate,
+    operators,
+)
 
 
 def finite_vectors(max_len=12, scale=10):
@@ -38,6 +45,12 @@ def interval_sets(draw, max_len=12):
         else:
             lo[i], hi[i] = a, a
     return IntervalSet(lo, hi)
+
+
+def _half_distance_sq(s, x):
+    """Half the squared distance from x to s: the certificate's objective
+    with D = I and lam = 0."""
+    return certificate(Dictionary(np.eye(len(s))), s, x, 0.0)[0]
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +211,7 @@ def test_preimage_rule_holds_at_every_level_and_bit_depth(spec, x):
     y = spec.apply(x)
     assert np.array_equal(spec.apply(y), y)
     s = spec.preimage(y)
-    assert s.contains(x)
+    assert (s.lower <= x).all() and (x <= s.upper).all()
     np.testing.assert_array_equal(np.isposinf(s.upper), y == _extreme(spec))
     np.testing.assert_array_equal(np.isneginf(s.lower), y == -_extreme(spec))
     if spec.kind == "quant":
@@ -213,7 +226,6 @@ def test_singleton_is_degenerate():
     s = IntervalSet.singleton(x)
     np.testing.assert_array_equal(s.lower, x)
     np.testing.assert_array_equal(s.upper, x)
-    assert s.contains(x)
 
 
 def test_singleton_rejects_infinite_entries():
@@ -247,12 +259,6 @@ def test_project_clamps_elementwise():
     )
 
 
-def test_distance_sq_example():
-    s = IntervalSet(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    # (2, -1) is offset by (1, -1) from its projection (1, 0)
-    assert s.distance_sq(np.array([2.0, -1.0])) == pytest.approx(2.0)
-
-
 def test_interior_point_has_zero_gradient():
     s = IntervalSet(np.array([0.0]), np.array([1.0]))
     np.testing.assert_array_equal(s.grad_half_distance_sq(np.array([0.5])), [0.0])
@@ -260,17 +266,9 @@ def test_interior_point_has_zero_gradient():
 
 def test_length_checks():
     s = IntervalSet(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    for method in (s.project, s.distance_sq, s.grad_half_distance_sq, s.contains):
+    for method in (s.project, s.grad_half_distance_sq):
         with pytest.raises(DimensionMismatch):
             method(np.zeros(3))
-
-
-def test_contains_tolerance():
-    s = IntervalSet(np.array([0.0]), np.array([1.0]))
-    assert not s.contains(np.array([1.0 + 1e-6]))
-    assert s.contains(np.array([1.0 + 1e-6]), tol=1e-5)
-    with pytest.raises(ValueError):
-        s.contains(np.array([0.5]), tol=-1.0)
 
 
 @given(interval_sets(), st.data())
@@ -281,7 +279,7 @@ def test_projection_is_idempotent_exactly(s, data):
     )
     p = s.project(x)
     assert np.array_equal(s.project(p), p)
-    assert s.contains(p)
+    assert (s.lower <= p).all() and (p <= s.upper).all()
 
 
 @given(interval_sets(), st.data())
@@ -312,8 +310,8 @@ def test_distance_sq_is_convex_along_segments(s, data):
     z = data.draw(arrays(np.float64, len(s), elements=elements))
     t = data.draw(st.floats(0, 1, allow_nan=False))
     mid = t * x + (1 - t) * z
-    bound = t * s.distance_sq(x) + (1 - t) * s.distance_sq(z)
-    assert s.distance_sq(mid) <= bound + 1e-9
+    bound = t * _half_distance_sq(s, x) + (1 - t) * _half_distance_sq(s, z)
+    assert _half_distance_sq(s, mid) <= bound + 0.5e-9
 
 
 def test_gradient_matches_finite_differences():
@@ -328,6 +326,6 @@ def test_gradient_matches_finite_differences():
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            fd = (0.5 * s.distance_sq(x + e) - 0.5 * s.distance_sq(x - e)) / (2 * h)
+            fd = (_half_distance_sq(s, x + e) - _half_distance_sq(s, x - e)) / (2 * h)
             assert fd == pytest.approx(g[j], abs=5e-6)
 

@@ -1,4 +1,4 @@
-"""Proximal solvers: proximal map, engine mechanics, optimality measures."""
+"""Proximal solvers: proximal map, engine mechanics, the certificate."""
 
 import json
 import math
@@ -14,10 +14,9 @@ from sparse_consist import (
     IntervalSet,
     SolverConfig,
     SolverTrace,
+    certificate,
     gen_dictionary,
     gen_sparse_signal,
-    kkt_residual,
-    objective,
     result_to_json_obj,
     soft_threshold,
     solve_fista,
@@ -76,13 +75,13 @@ def test_momentum_sequence_first_terms():
 
 
 # ----------------------------------------------------------------------
-# objective and single step
+# certificate objective and single step
 
 
 def test_objective_is_zero_for_feasible_zero():
     dic = Dictionary(np.eye(3))
     iset = IntervalSet(-np.ones(3), np.ones(3))
-    assert objective(dic, iset, np.zeros(3), lam=0.5) == 0.0
+    assert certificate(dic, iset, np.zeros(3), lam=0.5)[0] == 0.0
 
 
 def test_objective_singleton_matches_least_squares_form():
@@ -94,7 +93,7 @@ def test_objective_singleton_matches_least_squares_form():
     direct = 0.5 * float(np.sum((dic.synthesize(alpha) - x) ** 2)) + lam * float(
         np.abs(alpha).sum()
     )
-    assert objective(dic, iset, alpha, lam) == pytest.approx(direct, rel=1e-14)
+    assert certificate(dic, iset, alpha, lam)[0] == pytest.approx(direct, rel=1e-14)
 
 
 def test_objective_counts_unit_distances():
@@ -102,7 +101,7 @@ def test_objective_counts_unit_distances():
     n = 4
     dic = Dictionary(np.eye(n))
     iset = IntervalSet(np.ones(n), np.full(n, np.inf))
-    assert objective(dic, iset, np.zeros(n), lam=0.0) == pytest.approx(n / 2)
+    assert certificate(dic, iset, np.zeros(n), lam=0.0)[0] == pytest.approx(n / 2)
 
 
 def test_ista_step_fixes_the_solution():
@@ -121,7 +120,8 @@ def test_ista_step_decreases_the_objective():
     for _ in range(10):
         alpha = rng.standard_normal(dic.m)
         after = _one_ista_step(dic, iset, alpha, step, lam)
-        assert objective(dic, iset, after, lam) <= objective(dic, iset, alpha, lam) + 1e-12
+        before = certificate(dic, iset, alpha, lam)[0]
+        assert certificate(dic, iset, after, lam)[0] <= before + 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +170,7 @@ def test_warm_start_is_used_and_validated():
         dic, iset, SolverConfig(max_iter=200000, rel_tol=1e-10, alpha0=cold)
     )
     assert trace.converged
-    assert kkt_residual(dic, iset, warm, 1e-2) < 1e-4
+    assert certificate(dic, iset, warm, 1e-2)[1] < 1e-4
     with pytest.raises(DimensionMismatch):
         solve_fista(dic, iset, SolverConfig(alpha0=np.zeros(3)))
 
@@ -193,7 +193,7 @@ def test_unconstrained_box_gives_zero_solution():
 
 
 # ----------------------------------------------------------------------
-# optimality diagnostics
+# certificate KKT residual
 
 
 def test_kkt_residual_at_zero_reports_excess_correlation():
@@ -201,8 +201,8 @@ def test_kkt_residual_at_zero_reports_excess_correlation():
     iset = IntervalSet.singleton(np.array([3.0, -0.5]))
     # gradient at zero is -x, so the violation is max(|x_i| - lam, 0)
     lam = 1.0
-    assert kkt_residual(dic, iset, np.zeros(2), lam) == pytest.approx(2.0)
-    assert kkt_residual(dic, iset, np.zeros(2), 4.0) == 0.0
+    assert certificate(dic, iset, np.zeros(2), lam)[1] == pytest.approx(2.0)
+    assert certificate(dic, iset, np.zeros(2), 4.0)[1] == 0.0
 
 
 def test_kkt_residual_vanishes_at_hand_built_minimizer():
@@ -212,7 +212,7 @@ def test_kkt_residual_vanishes_at_hand_built_minimizer():
     dic = Dictionary(np.eye(3))
     iset = IntervalSet.singleton(x)
     alpha_star = soft_threshold(lam, x)
-    assert kkt_residual(dic, iset, alpha_star, lam) < 1e-14
+    assert certificate(dic, iset, alpha_star, lam)[1] < 1e-14
 
 
 def test_tighter_tolerance_never_worsens_kkt_residual():
@@ -233,7 +233,8 @@ def test_vanishing_penalty_drives_iterates_toward_the_set():
         for lam in (1e-1, 1e-2, 1e-3, 1e-4):
             cfg = SolverConfig(lam=lam, max_iter=200000, rel_tol=1e-12)
             alpha, _ = solve_fista(dic, iset, cfg)
-            dists.append(iset.distance_sq(dic.synthesize(alpha)))
+            # with lam = 0 the objective is half the squared distance
+            dists.append(2.0 * certificate(dic, iset, alpha, 0.0)[0])
         for a, b in zip(dists, dists[1:]):
             assert b <= a + 1e-10
 
