@@ -37,8 +37,14 @@ from .solvers import AdmmConfig, SolverConfig, json_float, result_to_json_obj
 
 ENV_SEED = "SPARSE_CONSIST_SEED"
 
-DEFAULT_CLIP_GRID = "0.2,0.4,0.6,0.8"
-DEFAULT_QUANT_GRID = "2,3,4,5,6"
+# The sweep subcommands: (name, distortion kind, default grid, grid help,
+# results file, subcommand help).
+_BENCHES = (
+    ("declip-bench", "clip", "0.2,0.4,0.6,0.8", "comma list of clip levels",
+     "declip_bench.csv", "clipping sweep over a grid of thresholds"),
+    ("dequant-bench", "quant", "2,3,4,5,6", "comma list of bit depths",
+     "dequant_bench.csv", "quantization sweep over a grid of bit depths"),
+)
 
 
 def _load_dictionary(path: str) -> Dictionary:
@@ -139,7 +145,8 @@ def _sweep_spec(args, grid: tuple) -> ExperimentSpec:
     )
 
 
-def _run_bench(args, grid: tuple) -> int:
+def _run_bench(args) -> int:
+    grid = _parse_grid(args.kind, args.grid)
     result = run_experiment(_sweep_spec(args, grid), jobs=args.jobs)
     write_results_csv(args.out, result, include_times=args.times)
     print(f"wrote {args.out}")
@@ -155,14 +162,6 @@ def _run_bench(args, grid: tuple) -> int:
         if args.strict:
             return 1
     return 0
-
-
-def cmd_declip_bench(args) -> int:
-    return _run_bench(args, _parse_grid("clip", args.grid))
-
-
-def cmd_dequant_bench(args) -> int:
-    return _run_bench(args, _parse_grid("quant", args.grid))
 
 
 def cmd_timing(args) -> int:
@@ -246,25 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 when the solver stops without converging")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("declip-bench", formatter_class=fmt,
-                       help="clipping sweep over a grid of thresholds")
-    _add_protocol_flags(p)
-    _add_solver_flags(p)
-    _add_sweep_flags(p, trials=100, solvers="ista,fista")
-    _add_bench_output_flags(p)
-    p.add_argument("--grid", default=DEFAULT_CLIP_GRID, help="comma list of clip levels")
-    p.add_argument("--out", default="declip_bench.csv", help="results CSV path")
-    p.set_defaults(func=cmd_declip_bench)
-
-    p = sub.add_parser("dequant-bench", formatter_class=fmt,
-                       help="quantization sweep over a grid of bit depths")
-    _add_protocol_flags(p)
-    _add_solver_flags(p)
-    _add_sweep_flags(p, trials=100, solvers="ista,fista")
-    _add_bench_output_flags(p)
-    p.add_argument("--grid", default=DEFAULT_QUANT_GRID, help="comma list of bit depths")
-    p.add_argument("--out", default="dequant_bench.csv", help="results CSV path")
-    p.set_defaults(func=cmd_dequant_bench)
+    for name, kind, grid, grid_help, out, bench_help in _BENCHES:
+        p = sub.add_parser(name, formatter_class=fmt, help=bench_help)
+        _add_protocol_flags(p)
+        _add_solver_flags(p)
+        _add_sweep_flags(p, trials=100, solvers="ista,fista")
+        _add_bench_output_flags(p)
+        p.add_argument("--grid", default=grid, help=grid_help)
+        p.add_argument("--out", default=out, help="results CSV path")
+        p.set_defaults(func=_run_bench, kind=kind)
 
     p = sub.add_parser("timing", formatter_class=fmt,
                        help="wall-time comparison across solvers and tasks")

@@ -94,9 +94,13 @@ def gen_sparse_signal(seed: int, dictionary: Dictionary, k_sparse: int):
 
     The support is uniform without replacement, the nonzeros are standard
     normal, and both alpha and x = D alpha are divided by the peak magnitude
-    of x so that the signal has unit infinity norm. The zero-signal draw has
-    probability zero but would poison the scaling, so it is resampled.
+    of x so that the signal has unit infinity norm. A draw whose signal is
+    zero would poison the scaling, so it is resampled; with any nonzero
+    column that loop ends with probability one. An all-zero dictionary,
+    whose every signal is zero, raises ValueError instead.
     """
+    if not dictionary.matrix.any():
+        raise ValueError("dictionary is all zeros, so every signal it synthesizes is zero")
     rng = make_rng(seed)
     m = dictionary.m
     while True:
@@ -113,8 +117,9 @@ def gen_sparse_signal(seed: int, dictionary: Dictionary, k_sparse: int):
 def snr_db(reference, estimate) -> float:
     """Reconstruction quality 20 log10(||ref|| / ||ref - est||), capped at 300.
 
-    A non-finite estimate raises ValueError rather than scoring NaN, so a
-    diverged solve is counted as a failed run instead of poisoning a mean.
+    A non-finite reference or estimate raises ValueError rather than scoring
+    NaN, so a diverged solve is counted as a failed run instead of poisoning
+    a mean.
     """
     reference = _as_vector(reference, "reference")
     estimate = _as_vector(estimate, "estimate")
@@ -122,8 +127,9 @@ def snr_db(reference, estimate) -> float:
         raise DimensionMismatch(
             f"reference has length {reference.shape[0]}, estimate {estimate.shape[0]}"
         )
-    if not np.isfinite(estimate).all():
-        raise ValueError("estimate has non-finite entries")
+    for name, vec in (("reference", reference), ("estimate", estimate)):
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{name} has non-finite entries")
     ref_norm = float(np.linalg.norm(reference))
     if ref_norm == 0.0:
         raise ValueError("reference signal must be nonzero")
@@ -184,9 +190,9 @@ class PointSummary:
     """Aggregate of one (distortion point, solver) cell across trials.
 
     ``failure_reasons`` holds ``(reason, count)`` pairs sorted by reason,
-    with counts summing to ``failures``. A reason is ``non_finite`` for a
-    solve whose trace stopped on that reason, otherwise the type name of
-    the exception the solve (or the SNR of its estimate) raised.
+    and ``failures`` is the sum of their counts. A reason is ``non_finite``
+    for a solve whose trace stopped on that reason, otherwise the type name
+    of the exception the solve (or the SNR of its estimate) raised.
     """
 
     distortion: DistortionSpec
@@ -195,8 +201,11 @@ class PointSummary:
     std_snr_db: float
     mean_iterations: float
     mean_wall_time_s: float
-    failures: int
     failure_reasons: tuple
+
+    @property
+    def failures(self) -> int:
+        return sum(count for _, count in self.failure_reasons)
 
 
 @dataclass(frozen=True)
@@ -314,7 +323,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
             cells = [trial_results[t][p][1][name] for t in range(spec.trials)]
             good = [c for c in cells if c[3] is None]
             reasons = Counter(c[3] for c in cells if c[3] is not None)
-            failures = len(cells) - len(good)
             if good:
                 snrs = np.asarray([c[0] for c in good])
                 mean_snr = float(np.mean(snrs))
@@ -331,7 +339,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
                     std_snr_db=std_snr,
                     mean_iterations=mean_iters,
                     mean_wall_time_s=mean_time,
-                    failures=failures,
                     failure_reasons=tuple(sorted(reasons.items())),
                 )
             )

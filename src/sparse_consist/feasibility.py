@@ -50,6 +50,8 @@ class IntervalSet:
             raise ValueError("interval bounds must not be NaN")
         if (lo > hi).any():
             raise ValueError("each interval must satisfy lower <= upper")
+        if (lo == np.inf).any() or (hi == -np.inf).any():
+            raise ValueError("an interval must contain a real number: lower < inf, upper > -inf")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)

@@ -43,12 +43,11 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
     """Largest eigenvalue of ``matrix.T @ matrix`` by power iteration.
 
     Starts from the deterministic normalized all-ones vector so repeated runs
-    give identical estimates. Returns ``(estimate, history)`` where history
-    holds the Rayleigh quotient of every iteration; for a symmetric positive
-    semi-definite Gram matrix the history is non-decreasing.
+    give identical estimates, and returns the Rayleigh quotient of the last
+    iteration.
 
     It runs on the matrix scaled by the power of two that puts its largest
-    entry in [0.5, 1), so no norm overflows, and scales both results back
+    entry in [0.5, 1), so no norm overflows, and scales the estimate back
     exactly. Raises ValueError for a zero matrix, and for one whose estimate
     is not finite (overflow) or below the smallest normal double (underflow).
     """
@@ -66,11 +65,9 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
     ]
     for v in starts:
         lam_prev = -np.inf
-        history: list[float] = []
         for _ in range(max_iter):
             w = scaled.T @ (scaled @ v)
             lam = float(v @ w)  # Rayleigh quotient; v is unit-norm
-            history.append(lam)
             norm_w = float(np.linalg.norm(w))
             if norm_w == 0.0 or lam <= 0.0:
                 break  # start vector killed by the Gram action
@@ -82,7 +79,7 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
             continue
         estimate = float(np.ldexp(lam, 2 * exponent))
         if np.finfo(np.float64).tiny <= estimate < math.inf:
-            return estimate, np.ldexp(history, 2 * exponent).tolist()
+            return estimate
         raise ValueError(
             f"Gram values of the matrix {'underflow' if estimate < 1.0 else 'overflow'}: "
             f"power iteration estimates {estimate:.3e} (largest entry {_max_abs(d):.3e})"
@@ -176,8 +173,7 @@ class Dictionary:
         ``LIPSCHITZ_SAFETY``, then cached; later calls return the cached value.
         """
         if self._lipschitz is None:
-            lam, _ = power_iteration_gram(self._matrix)
-            self._lipschitz = LIPSCHITZ_SAFETY * lam
+            self._lipschitz = LIPSCHITZ_SAFETY * power_iteration_gram(self._matrix)
         return self._lipschitz
 
     def ridge_cho_factor(self, rho: float):

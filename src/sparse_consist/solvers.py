@@ -82,12 +82,13 @@ def _kkt_from_gradient(grad: np.ndarray, alpha: np.ndarray, lam: float) -> float
 class SolverConfig:
     """Settings shared by the proximal solvers.
 
-    ``step=None`` means use ``1 / L`` with L the cached padded estimate of
-    ``||D^T D||_2``. ``alpha0=None`` starts from the zero vector.
+    The step is always ``1 / L``, with L the dictionary's cached padded
+    estimate of ``||D^T D||_2``. ``alpha0=None`` starts from the zero
+    vector; a given warm start is stored as a read-only float64 copy, so a
+    later write to the caller's array changes no solve.
     """
 
     lam: float = 1e-2
-    step: float | None = None
     max_iter: int = 400
     rel_tol: float = 1e-6
     alpha0: np.ndarray | None = None
@@ -95,13 +96,15 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0.0):
-            raise ValueError(f"step must be finite and positive when given, got {self.step}")
         _require_integers(max_iter=self.max_iter)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.rel_tol >= 0.0:
             raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
+        if self.alpha0 is not None:
+            alpha0 = np.array(self.alpha0, dtype=np.float64)
+            alpha0.setflags(write=False)
+            object.__setattr__(self, "alpha0", alpha0)
 
 
 @dataclass
@@ -174,12 +177,11 @@ def _check_set_length(dictionary: Dictionary, iset: IntervalSet) -> None:
 def _initial_alpha(dictionary: Dictionary, config: SolverConfig) -> np.ndarray:
     if config.alpha0 is None:
         return np.zeros(dictionary.m)
-    alpha = np.array(config.alpha0, dtype=np.float64)
-    if alpha.shape != (dictionary.m,):
+    if config.alpha0.shape != (dictionary.m,):
         raise DimensionMismatch(
-            f"alpha0 has shape {alpha.shape}, expected ({dictionary.m},)"
+            f"alpha0 has shape {config.alpha0.shape}, expected ({dictionary.m},)"
         )
-    return alpha
+    return config.alpha0
 
 
 def _shrink(v: np.ndarray, thresh: float, mag: np.ndarray) -> float:
@@ -203,7 +205,8 @@ def _fista_engine(
     config: SolverConfig,
     momentum: bool = True,
 ):
-    """Forward-backward loop shared by all proximal solvers.
+    """Forward-backward loop shared by all proximal solvers, stepping by
+    ``1 / L`` with L the dictionary's padded Lipschitz estimate.
 
     The smooth term is ``0.5 * ||r||^2`` with the residual ``r = z - P(z)``
     of the synthesized signal z, and r is also its gradient with respect to
@@ -221,7 +224,7 @@ def _fista_engine(
     non-finite objective stops the run at once and its iterate is returned.
     """
     lam = config.lam
-    step = config.step if config.step is not None else 1.0 / dictionary.estimate_lipschitz()
+    step = 1.0 / dictionary.estimate_lipschitz()
     thresh = step * lam
 
     t_start = perf_counter()
@@ -304,8 +307,8 @@ def solve_ista(
     iset: IntervalSet,
     config: SolverConfig = SolverConfig(),
 ):
-    """Plain forward-backward iteration; monotone in the objective for the
-    default step size."""
+    """Plain forward-backward iteration; monotone in the objective at its
+    step 1/L."""
     _check_set_length(dictionary, iset)
     return _fista_engine(dictionary, iset, config, momentum=False)
 

@@ -5,10 +5,16 @@ and module functions by name, ``kernels.py`` imports public names, and
 ``run.py`` builds the specs of every call. A refactor that renames or moves
 one of them, or a new check that refuses one of those specs, would otherwise
 show only when a benchmark run fails. These tests import ``perfbench/`` from
-its own directory and write nothing there.
+its own directory and write nothing there. The last one runs a short traced
+benchmark in a copy of the checkout and reads its result line as the
+benchmark's reader does: the last line of standard output.
 """
 
+import json
 import math
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,7 +31,8 @@ from sparse_consist import (
     experiments,
 )
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 MODULES = ("kernels", "layers", "spans", "run")
 
 
@@ -110,3 +117,24 @@ def test_every_spec_the_benchmark_builds_passes_the_spec_checks(perfbench, monke
         if workload.timing_table:
             labels = [d.label() for d in built[0].distortion_grid]
             assert labels == ["clip:0.6", "quant:4"]
+
+
+def test_a_traced_run_ends_with_its_result_line(tmp_path):
+    # A copy of the checkout, so the run's state files land in tmp_path.
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(PERFBENCH, tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns(".state", "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "declip-fresh",
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert isinstance(result, dict)
+    assert set(result) == {"correct", "attempted", "failed", "metrics"}
+    assert result["correct"] is True
+    assert all(m["value"] is not None for m in result["metrics"].values())

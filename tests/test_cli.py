@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_consist import AdmmConfig, DistortionSpec, SolverConfig, cli
+from sparse_consist import Dictionary, DistortionSpec
 from sparse_consist import experiments as exps
 from sparse_consist.cli import ENV_SEED, main
 
@@ -111,11 +111,9 @@ def test_solve_writes_valid_json_for_a_diverged_run(tmp_path, monkeypatch):
     rc = main(["gen", "--n", "12", "--m", "24", "--k-sparse", "3", "--seed", "5",
                "--distortion", "clip:0.5", "--out", str(out)])
     assert rc == 0
-    # the CLI has no step flag; a step far above 1/L makes the solve diverge
-    monkeypatch.setattr(
-        cli, "_solver_configs",
-        lambda args: (SolverConfig(step=1.0, max_iter=400), AdmmConfig()),
-    )
+    # a Lipschitz estimate of 1.0, far below the true constant, makes the
+    # step 1.0, so the solve diverges
+    monkeypatch.setattr(Dictionary, "estimate_lipschitz", lambda self: 1.0)
     result = tmp_path / "result.json"
     rc = main([
         "solve",

@@ -136,8 +136,10 @@ def test_two_products_per_iteration(monkeypatch, solver, projections_per_iter):
 # stop reasons
 
 
-def _diverging_case():
-    # step 1.0 is far above 1/L on this instance, so every solve blows up
+def _diverging_case(monkeypatch):
+    # a Lipschitz estimate of 1.0, far below the true constant on this
+    # instance, makes the step 1.0, so every solve blows up
+    monkeypatch.setattr(Dictionary, "estimate_lipschitz", lambda self: 1.0)
     dic = gen_dictionary(5, 12, 24)
     _, x = gen_sparse_signal(5 + SIGNAL_SEED_OFFSET, dic, 3)
     dspec = DistortionSpec.clipping(0.5)
@@ -148,9 +150,9 @@ def _diverging_case():
 @pytest.mark.parametrize(
     "solver, stop_at", [(solve_ista, 88), (solve_fista, 77)], ids=["ista", "fista"]
 )
-def test_run_stops_at_the_first_non_finite_objective(solver, stop_at):
-    dic, iset = _diverging_case()
-    alpha, trace = solver(dic, iset, SolverConfig(step=1.0, max_iter=400))
+def test_run_stops_at_the_first_non_finite_objective(monkeypatch, solver, stop_at):
+    dic, iset = _diverging_case(monkeypatch)
+    alpha, trace = solver(dic, iset, SolverConfig(max_iter=400))
     assert trace.stop_reason == "non_finite"
     assert not trace.converged
     assert trace.iterations_run == stop_at

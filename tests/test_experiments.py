@@ -14,6 +14,7 @@ import sparse_consist.operators as operators
 from sparse_consist import (
     SIGNAL_SEED_OFFSET,
     AdmmConfig,
+    Dictionary,
     DimensionMismatch,
     DistortionSpec,
     ExperimentSpec,
@@ -138,6 +139,9 @@ def test_sparse_signal_contract():
     np.testing.assert_allclose(dic.synthesize(alpha), x, rtol=1e-12, atol=1e-14)
     again, _ = gen_sparse_signal(11 + SIGNAL_SEED_OFFSET, dic, 5)
     assert np.array_equal(alpha, again)
+    # every signal of an all-zero dictionary is zero, so no draw can be scaled
+    with pytest.raises(ValueError, match="all zeros"):
+        gen_sparse_signal(0, Dictionary(np.zeros((4, 8))), 2)
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +169,9 @@ def test_snr_validates_inputs():
         snr_db(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
         snr_db(np.ones(3), np.array([1.0, np.nan, 1.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="reference"):
+            snr_db(np.array([bad, 1.0]), np.ones(2))
 
 
 # ----------------------------------------------------------------------
@@ -352,13 +359,15 @@ def test_failed_solver_runs_are_counted_not_raised(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverged_solves_are_counted_as_failures():
-    # step 1.0 is far above 1/L here, so every relaxed solve blows up
+def test_diverged_solves_are_counted_as_failures(monkeypatch):
+    # a Lipschitz estimate of 1.0, far below the true constant here, makes
+    # the step 1.0, so every relaxed solve blows up
+    monkeypatch.setattr(Dictionary, "estimate_lipschitz", lambda self: 1.0)
     spec = _small_spec(
         n=12,
         m=24,
         distortion_grid=(DistortionSpec.clipping(0.5),),
-        solver_config=SolverConfig(step=1.0, max_iter=400),
+        solver_config=SolverConfig(max_iter=400),
     )
     result = run_experiment(spec, jobs=1)
     assert result.failure_count == spec.trials * len(spec.solvers)

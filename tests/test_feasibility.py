@@ -238,6 +238,11 @@ def test_constructor_validates_bounds():
         IntervalSet(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         IntervalSet(np.array([np.nan]), np.array([1.0]))
+    # intervals that hold no real number
+    with pytest.raises(ValueError, match="real number"):
+        IntervalSet(np.array([np.inf, 0.0]), np.array([np.inf, 1.0]))
+    with pytest.raises(ValueError, match="real number"):
+        IntervalSet(np.array([0.0, -np.inf]), np.array([1.0, -np.inf]))
     with pytest.raises(DimensionMismatch):
         IntervalSet(np.array([0.0, 1.0]), np.array([1.0]))
 

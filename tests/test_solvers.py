@@ -32,9 +32,9 @@ def _clip_instance(seed, n=12, m=24, k=3, theta=0.5):
     return dic, dspec.preimage(dspec.apply(x)), x
 
 
-def _one_ista_step(dic, iset, alpha, step, lam):
+def _one_ista_step(dic, iset, alpha, lam):
     """A single forward-backward update from ``alpha``."""
-    cfg = SolverConfig(lam=lam, step=step, max_iter=1, rel_tol=0.0, alpha0=alpha)
+    cfg = SolverConfig(lam=lam, max_iter=1, rel_tol=0.0, alpha0=alpha)
     out, _ = solve_ista(dic, iset, cfg)
     return out
 
@@ -108,7 +108,7 @@ def test_ista_step_fixes_the_solution():
     # zero is feasible and the l1 term keeps the iterate at zero
     dic = Dictionary(np.eye(3))
     iset = IntervalSet(-np.ones(3), np.ones(3))
-    out = _one_ista_step(dic, iset, np.zeros(3), step=1.0, lam=0.1)
+    out = _one_ista_step(dic, iset, np.zeros(3), lam=0.1)
     np.testing.assert_array_equal(out, np.zeros(3))
 
 
@@ -116,10 +116,9 @@ def test_ista_step_decreases_the_objective():
     dic, iset, _ = _clip_instance(22)
     rng = np.random.Generator(np.random.PCG64(4))
     lam = 1e-2
-    step = 1.0 / dic.estimate_lipschitz()
     for _ in range(10):
         alpha = rng.standard_normal(dic.m)
-        after = _one_ista_step(dic, iset, alpha, step, lam)
+        after = _one_ista_step(dic, iset, alpha, lam)
         before = certificate(dic, iset, alpha, lam)[0]
         assert certificate(dic, iset, after, lam)[0] <= before + 1e-12
 
@@ -139,8 +138,7 @@ def test_first_accelerated_iterate_is_a_plain_step():
     dic, iset, _ = _clip_instance(24)
     cfg = SolverConfig(lam=1e-2, max_iter=1, rel_tol=0.0)
     alpha_fista, _ = solve_fista(dic, iset, cfg)
-    step = 1.0 / dic.estimate_lipschitz()
-    expected = _one_ista_step(dic, iset, np.zeros(dic.m), step, 1e-2)
+    expected = _one_ista_step(dic, iset, np.zeros(dic.m), 1e-2)
     np.testing.assert_array_equal(alpha_fista, expected)
 
 
@@ -173,6 +171,19 @@ def test_warm_start_is_used_and_validated():
     assert certificate(dic, iset, warm, 1e-2)[1] < 1e-4
     with pytest.raises(DimensionMismatch):
         solve_fista(dic, iset, SolverConfig(alpha0=np.zeros(3)))
+
+
+def test_config_keeps_its_own_warm_start():
+    dic, iset, _ = _clip_instance(30)
+    start = np.zeros(dic.m)
+    cfg = SolverConfig(max_iter=20, rel_tol=0.0, alpha0=start)
+    before, _ = solve_fista(dic, iset, cfg)
+    start[0] = 5.0  # a later write by the caller
+    assert not cfg.alpha0.any()
+    with pytest.raises(ValueError):
+        cfg.alpha0[0] = 5.0
+    after, _ = solve_fista(dic, iset, cfg)
+    assert np.array_equal(after, before)
 
 
 def test_all_solvers_reject_mismatched_set_length():
@@ -247,16 +258,12 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lam=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(step=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=-1e-3)
     for bad in (
         dict(lam=math.nan),
         dict(lam=math.inf),
-        dict(step=math.nan),
-        dict(step=math.inf),
         dict(rel_tol=math.nan),
         dict(max_iter=2.5),
         dict(max_iter=400.0),
