@@ -133,7 +133,11 @@ def test_a_traced_run_ends_with_its_result_line(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    # every per-layer metric BENCHMARK.json declares was measured
+    assert [json.loads(line[len("absent "):]) for line in lines
+            if line.startswith("absent ")] == [[]]
+    result = json.loads(lines[-1])
     assert isinstance(result, dict)
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True

@@ -91,6 +91,71 @@ def test_engine_matches_the_reference_loop_on_generated_inputs(problem, lam, rel
         )
 
 
+def _placed_at(matrix, offset):
+    """A copy of ``matrix`` whose first entry sits ``offset`` bytes past a
+    64-byte boundary."""
+    buf = np.empty(matrix.size + 16)
+    skip = (-buf.ctypes.data % 64 + offset) // 8
+    copy = buf[skip : skip + matrix.size].reshape(matrix.shape)
+    copy[...] = matrix
+    assert copy.ctypes.data % 64 == offset
+    return copy
+
+
+@pytest.mark.parametrize("label", ["clip:0.6", "quant:4"])
+def test_where_the_dictionary_sits_in_memory_never_changes_a_run(label):
+    dic, iset, _ = _protocol_case(0, label)
+    step = 1.0 / dic.estimate_lipschitz()
+    config = SolverConfig(lam=1e-2, max_iter=150, rel_tol=0.0)
+    for solver, momentum in ((solve_ista, False), (solve_fista, True)):
+        got = solver(dic, iset, config)
+        for offset in range(8, 64, 8):
+            placed = _placed_at(dic.matrix, offset)
+            ref = reference_loop(placed, box_residual(iset), config, step, momentum)
+            _assert_same_run(got, ref, config.lam)
+
+
+def _aligned(array):
+    return array.ctypes.data % 64 == 0
+
+
+def test_blas_operands_start_on_a_cache_line(monkeypatch, tmp_path):
+    dic, iset, _ = _protocol_case(1, "clip:0.6")
+    seen = Counter()
+
+    def checking(attr):
+        original = getattr(Dictionary, attr)
+
+        def wrapped(self, vec, out=None):
+            seen[attr] += 1
+            assert _aligned(self.matrix) and _aligned(vec), attr
+            assert out is not None and _aligned(out), attr
+            return original(self, vec, out=out)
+
+        monkeypatch.setattr(Dictionary, attr, wrapped)
+
+    checking("synthesize")
+    checking("correlate")
+    for solver in (solve_ista, solve_fista):
+        solver(dic, iset, SolverConfig(max_iter=5, rel_tol=0.0))
+    assert seen == {"synthesize": 12, "correlate": 12}
+    monkeypatch.undo()
+
+    data = np.random.default_rng(0).standard_normal((9, 13))
+    np.savetxt(tmp_path / "d.csv", data, delimiter=",")
+    dic.save(tmp_path / "d.bin")
+    built = [
+        Dictionary(data.tolist()),
+        Dictionary(np.asfortranarray(data)),
+        Dictionary(data[::2, 1::3]),
+        Dictionary(data.astype(np.float32)),
+        Dictionary.load(tmp_path / "d.bin"),
+        Dictionary.from_csv(tmp_path / "d.csv"),
+    ]
+    assert all(_aligned(d.matrix) for d in built)
+    assert _aligned(dic.ridge_cho_factor(1.0)[0])
+
+
 # ----------------------------------------------------------------------
 # work per iteration
 

@@ -1,5 +1,7 @@
 """Dictionary operator, spectral estimation, and the forward distortions."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,19 @@ def test_dictionary_matrix_is_frozen_copy():
     assert d.matrix[0, 0] == 1.0
     with pytest.raises(ValueError):
         d.matrix[0, 0] = 2.0
+
+
+def test_unpickled_dictionary_is_aligned_and_keeps_its_estimate():
+    d = _random_dictionary(3, n=37, m=61)
+    estimate = d.estimate_lipschitz()
+    payload = pickle.dumps(d)
+    # held at once, so that no copy reuses the memory another one freed
+    copies = [pickle.loads(payload) for _ in range(8)]
+    for back in copies:
+        assert back.matrix.ctypes.data % 64 == 0
+        assert back.matrix.tobytes() == d.matrix.tobytes()
+        assert not back.matrix.flags.writeable
+        assert back.estimate_lipschitz() == estimate
 
 
 def test_synthesize_correlate_shapes_and_errors():

@@ -11,6 +11,7 @@ from sparse_consist import (
     DimensionMismatch,
     Dictionary,
     DistortionSpec,
+    ExperimentSpec,
     IntervalSet,
     SolverConfig,
     SolverTrace,
@@ -184,6 +185,22 @@ def test_config_keeps_its_own_warm_start():
         cfg.alpha0[0] = 5.0
     after, _ = solve_fista(dic, iset, cfg)
     assert np.array_equal(after, before)
+
+
+def test_configs_with_warm_starts_compare_and_hash_by_contents():
+    a = SolverConfig(alpha0=np.zeros(3))
+    b = SolverConfig(alpha0=np.zeros(3))
+    assert a == b and hash(a) == hash(b)
+    assert a != SolverConfig(alpha0=np.ones(3))
+    assert a != SolverConfig(alpha0=np.zeros(4))
+    assert a != SolverConfig(alpha0=np.zeros((3, 1)))
+    assert a != SolverConfig()
+    assert SolverConfig(alpha0=[0.0, 1.0]) == SolverConfig(alpha0=np.array([0.0, 1.0]))
+    assert len({a, b, SolverConfig()}) == 2
+    grid = (DistortionSpec.clipping(0.5),)
+    assert ExperimentSpec(distortion_grid=grid, solver_config=a) == ExperimentSpec(
+        distortion_grid=grid, solver_config=b
+    )
 
 
 def test_all_solvers_reject_mismatched_set_length():
