@@ -8,16 +8,14 @@ iteration, with an operator-splitting baseline that enforces the set as a
 hard constraint.
 """
 
-from .errors import DimensionMismatch, InnerProjectionError
+from .errors import DimensionMismatch
 from .feasibility import IntervalSet
-from .operators import Dictionary, DistortionSpec, power_iteration_gram
+from .operators import Dictionary, DistortionSpec
 from .solvers import (
     AdmmConfig,
     SolverConfig,
     SolverTrace,
     certificate,
-    inner_projection,
-    result_to_json_obj,
     soft_threshold,
     solve_admm_constrained,
     solve_fista,
@@ -31,13 +29,10 @@ from .experiments import (
     TimingRow,
     gen_dictionary,
     gen_sparse_signal,
-    make_rng,
     run_experiment,
     run_solver,
     run_timing_table,
-    sample_support,
     snr_db,
-    standard_normal,
     write_plot_data,
     write_results_csv,
     write_timing_csv,

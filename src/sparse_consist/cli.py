@@ -6,12 +6,18 @@ protocols, and ``timing`` produces the two-task wall-time comparison.
 
 Exit codes: 0 success, 1 solver did not converge under --strict, 2 malformed
 input or flags, 3 dimension mismatch between inputs.
+
+A flag whose value fills a field of ``ExperimentSpec``, ``SolverConfig`` or
+``AdmmConfig`` takes that field's default, except the ``timing`` sweep's
+trial count and solver list. ``solve`` writes its result as JSON through
+:func:`result_to_json_obj`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,7 +39,7 @@ from .experiments import (
     write_timing_csv,
 )
 from .operators import Dictionary, DistortionSpec
-from .solvers import AdmmConfig, SolverConfig, json_float, result_to_json_obj
+from .solvers import AdmmConfig, SolverConfig, SolverTrace
 
 ENV_SEED = "SPARSE_CONSIST_SEED"
 
@@ -80,6 +86,28 @@ def _solver_configs(args) -> tuple[SolverConfig, AdmmConfig]:
         SolverConfig(lam=args.lam, max_iter=args.max_iter, rel_tol=args.rel_tol),
         AdmmConfig(max_iter=args.admm_max_iter),
     )
+
+
+def json_float(value) -> float | None:
+    """A float for a JSON document: ``None`` (null) when it is not finite,
+    since JSON has no NaN or infinity."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def result_to_json_obj(alpha: np.ndarray, trace: SolverTrace) -> dict:
+    """JSON-friendly summary of a solver run; non-finite numbers become
+    null, so the result of a diverged run is still valid JSON."""
+    history = trace.objective_per_iter
+    return {
+        "alpha": [json_float(a) for a in alpha],
+        "objective": json_float(history[-1]) if len(history) else None,
+        "iterations": int(trace.iterations_run),
+        "converged": bool(trace.converged),
+        "stop_reason": trace.stop_reason,
+        "wall_time_s": float(trace.wall_time_seconds),
+        "kkt_residual": json_float(trace.kkt_residual_final),
+    }
 
 
 def cmd_gen(args) -> int:
@@ -181,20 +209,21 @@ def cmd_timing(args) -> int:
 
 
 def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=256, help="signal dimension")
-    p.add_argument("--m", type=int, default=512, help="number of dictionary atoms")
-    p.add_argument("--k-sparse", type=int, default=16, help="support size of test vectors")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--n", type=int, default=ExperimentSpec.n, help="signal dimension")
+    p.add_argument("--m", type=int, default=ExperimentSpec.m, help="number of dictionary atoms")
+    p.add_argument("--k-sparse", type=int, default=ExperimentSpec.k_sparse,
+                   help="support size of test vectors")
+    p.add_argument("--seed", type=int, default=ExperimentSpec.seed,
                    help=f"base PRNG seed (env {ENV_SEED} overrides)")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-2,
+    p.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
                    help="l1 penalty weight")
-    p.add_argument("--max-iter", type=int, default=400, help="iteration cap")
-    p.add_argument("--admm-max-iter", type=int, default=400,
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, help="iteration cap")
+    p.add_argument("--admm-max-iter", type=int, default=AdmmConfig.max_iter,
                    help="outer iteration cap for the admm solver")
-    p.add_argument("--rel-tol", type=float, default=1e-6,
+    p.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol,
                    help="relative objective-change stopping tolerance")
 
 
@@ -249,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, formatter_class=fmt, help=bench_help)
         _add_protocol_flags(p)
         _add_solver_flags(p)
-        _add_sweep_flags(p, trials=100, solvers="ista,fista")
+        _add_sweep_flags(p, trials=ExperimentSpec.trials,
+                         solvers=",".join(ExperimentSpec.solvers))
         _add_bench_output_flags(p)
         p.add_argument("--grid", default=grid, help=grid_help)
         p.add_argument("--out", default=out, help="results CSV path")

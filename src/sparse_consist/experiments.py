@@ -23,7 +23,6 @@ import math
 import os
 import tempfile
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -307,6 +306,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
     if jobs == 1 or spec.trials == 1:
         trial_results = [_trial_worker((spec, t, shared)) for t in range(spec.trials)]
     else:
+        # imported here, so that a process that runs no pool never loads
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(jobs, spec.trials),
             initializer=_init_worker,

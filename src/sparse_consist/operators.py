@@ -5,6 +5,9 @@ of interest) applied by dense matvec; at the problem sizes this package
 targets that is the fastest honest option. The distortion models are a hard
 clipper and a uniform midriser quantizer; each one's pre-image is a box, an
 :class:`~sparse_consist.feasibility.IntervalSet`, read off its forward map.
+The dictionary's helpers, :func:`power_iteration_gram` behind its Lipschitz
+estimate and :func:`cho_factor` behind its ridge factors, are this
+module's own; the package does not export them.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .feasibility import IntervalSet, _as_vector
 # Power iteration underestimates the top eigenvalue; the gradient step size
 # 1 / L is only safe for L at or above the true value, so pad the estimate.
 LIPSCHITZ_SAFETY = 1.01
+# The power iteration stops at this relative change, or after this many
+# iterations per start vector.
+_POWER_TOL = 1e-6
+_POWER_MAX_ITER = 500
 
 # How far an observation may sit from a quantizer level and still read as
 # that level. The pre-image caps it at a quarter bin, so that a bin edge is
@@ -53,12 +60,13 @@ def _aligned_empty(shape) -> np.ndarray:
 
 # The function reports an overflow by its ValueError, not by numpy's warning.
 @np.errstate(over="ignore")
-def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
+def power_iteration_gram(matrix):
     """Largest eigenvalue of ``matrix.T @ matrix`` by power iteration.
 
     Starts from the deterministic normalized all-ones vector so repeated runs
     give identical estimates, and returns the Rayleigh quotient of the last
-    iteration.
+    iteration: the first whose estimate moved by at most ``_POWER_TOL``
+    relative, or the ``_POWER_MAX_ITER``-th.
 
     It runs on the matrix scaled by the power of two that puts its largest
     entry in [0.5, 1), so no norm overflows, and scales the estimate back
@@ -67,10 +75,6 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
     zero matrix, and for one whose estimate is not finite (overflow) or
     below the smallest normal double (underflow).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     d = np.asarray(matrix, dtype=np.float64)
     exponent = math.frexp(_max_abs(d))[1]
     scaled = np.ldexp(d, -exponent, out=_aligned_empty(d.shape))
@@ -83,7 +87,7 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
     for start in starts:
         v[:] = start
         lam_prev = -np.inf
-        for _ in range(max_iter):
+        for _ in range(_POWER_MAX_ITER):
             np.matmul(scaled, v, out=image)
             np.matmul(scaled.T, image, out=w)
             lam = float(v @ w)  # Rayleigh quotient; v is unit-norm
@@ -91,7 +95,7 @@ def power_iteration_gram(matrix, tol: float = 1e-6, max_iter: int = 500):
             if norm_w == 0.0 or lam <= 0.0:
                 break  # start vector killed by the Gram action
             np.divide(w, norm_w, out=v)
-            if abs(lam - lam_prev) <= tol * lam:
+            if abs(lam - lam_prev) <= _POWER_TOL * lam:
                 break
             lam_prev = lam
         if lam <= 0.0:

@@ -12,6 +12,10 @@ and :func:`certificate` scores any answer by the engine's own objective and
 KKT residual. Basis-pursuit denoising is FISTA on the identity's pre-image,
 the singleton set ``{x}``: projecting onto a point returns it exactly, so
 the residual is ``D alpha - x`` to the last bit.
+
+The baseline's nested projection, :func:`inner_projection`, and its ridge
+solve, :func:`cho_solve`, are this module's own; the package does not
+export them. A result's JSON form belongs to :mod:`sparse_consist.cli`.
 """
 
 from __future__ import annotations
@@ -345,21 +349,24 @@ def solve_fista(
     return _fista_engine(dictionary, iset, config, momentum=True)
 
 
-def cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A x = rhs`` given scipy's Cholesky factor ``(c, lower)`` of A.
+def cho_solve(factor, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Solve ``A x = rhs`` into ``out`` given scipy's Cholesky factor
+    ``(c, lower)`` of A, and return out.
 
     Two triangular matrix-vector solves (BLAS-2 ``trsv``) on the factor.
     scipy's ``cho_solve`` runs LAPACK ``potrs`` instead, whose
-    matrix-matrix ``trsm`` is slower on a one-column right-hand side. rhs
-    is left unchanged. The factor must be F-contiguous, or each call
-    copies it. scipy.linalg is imported on the first call, not with
-    this module.
+    matrix-matrix ``trsm`` is slower on a one-column right-hand side. Both
+    solve in place in out, a contiguous float64 vector other than rhs, so
+    rhs is left unchanged and the caller decides where the result lives.
+    The factor must be F-contiguous, or each call copies it. scipy.linalg
+    is imported on the first call, not with this module.
     """
     from scipy.linalg.blas import dtrsv
 
     c, lower = factor
-    y = dtrsv(c, rhs, lower=lower, trans=0 if lower else 1)
-    return dtrsv(c, y, lower=lower, trans=1 if lower else 0, overwrite_x=1)
+    out[:] = rhs
+    x = dtrsv(c, out, lower=lower, trans=0 if lower else 1, overwrite_x=1)
+    return dtrsv(c, x, lower=lower, trans=1 if lower else 0, overwrite_x=1)
 
 
 def inner_projection(
@@ -378,12 +385,13 @@ def inner_projection(
     :class:`InnerProjectionError` if after the full budget the residual is
     still above 1e-3 or not a number, since a point that far from the
     constraint would poison the outer iteration silently. The vectors of a
-    round live in 64-byte-aligned buffers allocated once per call.
+    round, the returned point among them, live in 64-byte-aligned buffers
+    allocated once per call.
     """
     factor = dictionary.ridge_cho_factor(rho)
     z = iset.project(dictionary.synthesize(u))
     w = np.zeros(dictionary.n)
-    rhs = _aligned_empty(dictionary.m)
+    rhs, solution = _aligned_empty(dictionary.m), _aligned_empty(dictionary.m)
     image = _aligned_empty(dictionary.n)
     # z - w at the start of a round, image - z at its end
     diff = _aligned_empty(dictionary.n)
@@ -394,7 +402,7 @@ def inner_projection(
         dictionary.correlate(diff, out=rhs)
         rhs *= rho
         rhs += u
-        beta = cho_solve(factor, rhs)
+        beta = cho_solve(factor, rhs, solution)
         dictionary.synthesize(beta, out=image)
         np.add(image, w, out=z)
         iset.project(z, out=z)
@@ -488,25 +496,3 @@ def solve_admm_constrained(
         stop_reason=stop_reason,
     )
     return best_beta, trace
-
-
-def json_float(value) -> float | None:
-    """A float for a JSON document: ``None`` (null) when it is not finite,
-    since JSON has no NaN or infinity."""
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
-def result_to_json_obj(alpha: np.ndarray, trace: SolverTrace) -> dict:
-    """JSON-friendly summary of a solver run; non-finite numbers become
-    null, so the result of a diverged run is still valid JSON."""
-    history = trace.objective_per_iter
-    return {
-        "alpha": [json_float(a) for a in alpha],
-        "objective": json_float(history[-1]) if len(history) else None,
-        "iterations": int(trace.iterations_run),
-        "converged": bool(trace.converged),
-        "stop_reason": trace.stop_reason,
-        "wall_time_s": float(trace.wall_time_seconds),
-        "kkt_residual": json_float(trace.kkt_residual_final),
-    }

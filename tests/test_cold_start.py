@@ -1,5 +1,7 @@
-"""A process loads only the scipy modules its code path calls."""
+"""A process loads only the scipy modules its code path calls, and the
+process-pool machinery only when it runs a pool."""
 
+import functools
 import json
 import os
 import subprocess
@@ -9,7 +11,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Each stage runs after the ones before it in a single fresh interpreter,
-# which prints the scipy modules loaded so far after every stage.
+# which prints the watched modules loaded so far after every stage: scipy's
+# and the process pool's.
 STAGES = {
     "fista": """
 import numpy as np
@@ -28,8 +31,13 @@ sc.solve_admm_constrained(
 }
 
 
-def _scipy_modules_per_stage() -> dict:
-    report = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+POOL_MODULES = {"multiprocessing", "concurrent.futures.process"}
+
+
+@functools.cache
+def _modules_per_stage() -> dict:
+    watched = f"m.split('.')[0] == 'scipy' or m in {sorted(POOL_MODULES)}"
+    report = f"print(json.dumps(sorted(m for m in sys.modules if {watched})))"
     script = "import json, sys\n" + "".join(
         f"{code}\n{report}\n" for code in STAGES.values()
     )
@@ -42,7 +50,7 @@ def _scipy_modules_per_stage() -> dict:
 
 
 def test_scipy_modules_load_on_first_use_only():
-    loaded = _scipy_modules_per_stage()
+    loaded = {stage: mods - POOL_MODULES for stage, mods in _modules_per_stage().items()}
     # importing the package and a proximal solve need numpy only
     assert loaded["fista"] == set()
     # data generation draws normals through scipy.special.ndtri
@@ -50,3 +58,9 @@ def test_scipy_modules_load_on_first_use_only():
     assert "scipy.linalg" not in loaded["gen"]
     # the ADMM baseline factors and solves its ridge system with scipy.linalg
     assert "scipy.linalg" in loaded["admm"]
+
+
+def test_no_process_pool_machinery_loads_without_a_pool():
+    loaded = _modules_per_stage()
+    assert not loaded["fista"] & POOL_MODULES
+    assert not loaded["gen"] & POOL_MODULES

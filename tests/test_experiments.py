@@ -1,5 +1,6 @@
 """Benchmark protocol: generators, SNR metric, sweeps, result files."""
 
+import concurrent.futures
 import math
 import pickle
 from collections import Counter
@@ -21,16 +22,14 @@ from sparse_consist import (
     SolverConfig,
     gen_dictionary,
     gen_sparse_signal,
-    make_rng,
     run_experiment,
     run_timing_table,
-    sample_support,
     snr_db,
-    standard_normal,
     write_plot_data,
     write_results_csv,
     write_timing_csv,
 )
+from sparse_consist.experiments import make_rng, sample_support, standard_normal
 
 
 def _small_spec(**overrides):
@@ -313,7 +312,7 @@ def test_pool_workers_build_the_shared_state_once_each(monkeypatch):
     calls = Counter()
     _count_calls(monkeypatch, calls, operators, "power_iteration_gram")
     _count_calls(monkeypatch, calls, operators, "cho_factor")
-    monkeypatch.setattr(exps, "ProcessPoolExecutor", _PicklingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PicklingPool)
     monkeypatch.setattr(exps, "_worker_dictionary", None)
     pooled = run_experiment(spec, jobs=2)
     # one Lipschitz estimate and one ridge factor per worker, not per trial

@@ -18,11 +18,11 @@ from sparse_consist import (
     certificate,
     gen_dictionary,
     gen_sparse_signal,
-    result_to_json_obj,
     soft_threshold,
     solve_fista,
     solve_ista,
 )
+from sparse_consist.cli import result_to_json_obj
 from sparse_consist.solvers import momentum_next
 
 
