@@ -175,6 +175,10 @@ class ExperimentSpec:
         if len(set(grid)) != len(grid):
             labels = ",".join(d.label() for d in grid)
             raise ValueError(f"distortion_grid must not repeat, got {labels}")
+        if not isinstance(self.solver_config, SolverConfig):
+            raise ValueError(f"solver_config must be a SolverConfig, got {self.solver_config!r}")
+        if not isinstance(self.admm_config, AdmmConfig):
+            raise ValueError(f"admm_config must be an AdmmConfig, got {self.admm_config!r}")
         if not self.solvers:
             raise ValueError("solvers must be non-empty")
         for name in self.solvers:
@@ -300,6 +304,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
     through the pool's initializer, so each worker computes those values at
     most once and the work items stay small.
     """
+    _require_integers(jobs=jobs)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     shared = gen_dictionary(spec.seed, spec.n, spec.m) if spec.shared_dictionary else None

@@ -51,8 +51,8 @@ _ALIGN = 64
 def _aligned_empty(shape) -> np.ndarray:
     """Uninitialized C-ordered float64 array whose first entry starts on a
     64-byte boundary: the view into a buffer over-allocated by 8 entries
-    that skips to the first aligned one."""
-    size = int(np.prod(shape))
+    that skips to the first aligned one. ``shape`` is an int or a tuple."""
+    size = shape if isinstance(shape, int) else math.prod(shape)
     buf = np.empty(size + _ALIGN // 8)
     skip = (-buf.ctypes.data % _ALIGN) // 8
     return buf[skip : skip + size].reshape(shape)

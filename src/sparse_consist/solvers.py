@@ -15,7 +15,9 @@ the residual is ``D alpha - x`` to the last bit.
 
 The baseline's nested projection, :func:`inner_projection`, and its ridge
 solve, :func:`cho_solve`, are this module's own; the package does not
-export them. A result's JSON form belongs to :mod:`sparse_consist.cli`.
+export them. The baseline's one setting is ``AdmmConfig.max_iter``; its
+penalties are 1, and its inner budget and tolerances are constants. A
+result's JSON form belongs to :mod:`sparse_consist.cli`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ from .operators import Dictionary, _aligned_empty
 # Floor for the denominator of the relative objective-change test, so that
 # objectives at or near zero do not stall the stopping rule.
 _REL_CHANGE_FLOOR = 1e-12
+
+# The constrained baseline's fixed settings: the nested projection's round
+# budget and primal-residual tolerance, and the tolerances of the combined
+# stopping test on the outer residuals.
+_INNER_ITERS = 50
+_INNER_TOL = 1e-8
+_OUTER_ABS_TOL = 1e-6
+_OUTER_REL_TOL = 1e-6
 
 
 def _require_integers(**fields) -> None:
@@ -157,33 +167,16 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Settings for the constrained splitting baseline.
+    """Settings for the constrained splitting baseline: its outer iteration
+    budget, the one thing about it that a caller sets. Its penalties, inner
+    budget and tolerances are fixed (see :mod:`sparse_consist.solvers`)."""
 
-    ``rho_outer`` is the penalty tying the l1 variable to the feasible-image
-    variable; ``rho_inner`` drives the nested projection onto
-    ``{beta : D beta in C}``, which runs for at most ``inner_iters`` rounds or
-    until its primal residual drops below ``inner_tol``. ``abs_tol`` and
-    ``rel_tol`` enter the usual combined stopping test on the outer residuals.
-    """
-
-    rho_outer: float = 1.0
-    rho_inner: float = 1.0
-    inner_iters: int = 50
-    inner_tol: float = 1e-8
     max_iter: int = 400
-    abs_tol: float = 1e-6
-    rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (self.rho_outer > 0.0 and self.rho_inner > 0.0):
-            raise ValueError("penalty parameters must be positive")
-        _require_integers(inner_iters=self.inner_iters, max_iter=self.max_iter)
-        if self.inner_iters < 1 or self.max_iter < 1:
-            raise ValueError("iteration budgets must be at least 1")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
-        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
-            raise ValueError("tolerances must be non-negative")
+        _require_integers(max_iter=self.max_iter)
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 def _check_set_length(dictionary: Dictionary, iset: IntervalSet) -> None:
@@ -369,26 +362,20 @@ def cho_solve(factor, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return dtrsv(c, x, lower=lower, trans=1 if lower else 0, overwrite_x=1)
 
 
-def inner_projection(
-    dictionary: Dictionary,
-    iset: IntervalSet,
-    u: np.ndarray,
-    rho: float,
-    iters: int,
-    tol: float,
-) -> np.ndarray:
+def inner_projection(dictionary: Dictionary, iset: IntervalSet, u: np.ndarray) -> np.ndarray:
     """Euclidean projection of u onto ``{beta : D beta in C}`` by splitting.
 
     Alternates a ridge solve against the cached factorization of
-    ``I + rho * D^T D`` with a box projection of the synthesized image. Stops
-    early when the primal residual ``||D beta - z||`` falls below tol; raises
+    ``I + D^T D`` (a penalty of 1) with a box projection of the synthesized
+    image, for at most ``_INNER_ITERS`` rounds. Stops early when the primal
+    residual ``||D beta - z||`` is at most ``_INNER_TOL``; raises
     :class:`InnerProjectionError` if after the full budget the residual is
     still above 1e-3 or not a number, since a point that far from the
     constraint would poison the outer iteration silently. The vectors of a
     round, the returned point among them, live in 64-byte-aligned buffers
     allocated once per call.
     """
-    factor = dictionary.ridge_cho_factor(rho)
+    factor = dictionary.ridge_cho_factor(1.0)
     z = iset.project(dictionary.synthesize(u))
     w = np.zeros(dictionary.n)
     rhs, solution = _aligned_empty(dictionary.m), _aligned_empty(dictionary.m)
@@ -397,10 +384,9 @@ def inner_projection(
     diff = _aligned_empty(dictionary.n)
     beta = u
     res = math.inf
-    for _ in range(iters):
+    for _ in range(_INNER_ITERS):
         np.subtract(z, w, out=diff)
         dictionary.correlate(diff, out=rhs)
-        rhs *= rho
         rhs += u
         beta = cho_solve(factor, rhs, solution)
         dictionary.synthesize(beta, out=image)
@@ -409,11 +395,11 @@ def inner_projection(
         np.subtract(image, z, out=diff)
         w += diff
         res = float(np.linalg.norm(diff))
-        if res <= tol:
+        if res <= _INNER_TOL:
             break
     if not res <= 1e-3:
         raise InnerProjectionError(
-            f"projection stalled with primal residual {res:.3e} after {iters} rounds"
+            f"projection stalled with primal residual {res:.3e} after {_INNER_ITERS} rounds"
         )
     return beta
 
@@ -425,22 +411,22 @@ def solve_admm_constrained(
 ):
     """Constrained baseline: minimize ``||alpha||_1`` over ``D alpha in C``.
 
-    Splits the l1 term from the constraint and alternates soft thresholding
-    with the nested projection. Returns the feasible-side variable from the
-    outer iteration with the smallest consensus residual ``||alpha - beta||``:
-    on degenerate instances the iteration can orbit the solution set with a
-    long period instead of settling, and the smallest-gap snapshot is then
-    strictly better than whatever phase the budget ran out at. The returned
-    point's synthesized image lies in C up to the inner tolerance. The trace
-    objective history is, per outer iteration, the l1 norm of the point the
-    run would return if it stopped there; the final residual field holds
-    ``max(primal, dual)`` at exit.
+    Splits the l1 term from the constraint with a penalty of 1, and
+    alternates soft thresholding by 1 with the nested projection, for at most
+    ``config.max_iter`` outer iterations. Returns the feasible-side variable
+    from the outer iteration with the smallest consensus residual
+    ``||alpha - beta||``: on degenerate instances the iteration can orbit
+    the solution set with a long period instead of settling, and the
+    smallest-gap snapshot is then strictly better than whatever phase the
+    budget ran out at. The returned point's synthesized image lies in C up
+    to the inner tolerance. The trace objective history is, per outer
+    iteration, the l1 norm of the point the run would return if it stopped
+    there; the final residual field holds ``max(primal, dual)`` at exit.
     """
     _check_set_length(dictionary, iset)
     m = dictionary.m
-    rho = config.rho_outer
-    sqrt_m = math.sqrt(m)
-    dictionary.ridge_cho_factor(config.rho_inner)  # setup, off the clock
+    abs_floor = math.sqrt(m) * _OUTER_ABS_TOL
+    dictionary.ridge_cho_factor(1.0)  # setup, off the clock
 
     t_start = perf_counter()
     beta = np.zeros(m)
@@ -453,17 +439,10 @@ def solve_admm_constrained(
     last_residual = math.inf
 
     for _ in range(config.max_iter):
-        alpha = soft_threshold(1.0 / rho, beta - v)
+        alpha = soft_threshold(1.0, beta - v)
         beta_prev = beta
         try:
-            beta = inner_projection(
-                dictionary,
-                iset,
-                alpha + v,
-                config.rho_inner,
-                config.inner_iters,
-                config.inner_tol,
-            )
+            beta = inner_projection(dictionary, iset, alpha + v)
         except InnerProjectionError:
             beta = beta_prev
             stop_reason = "inner_stall"
@@ -471,13 +450,11 @@ def solve_admm_constrained(
         v = v + alpha - beta
 
         r_pri = float(np.linalg.norm(alpha - beta))
-        s_dual = float(rho * np.linalg.norm(beta - beta_prev))
-        eps_pri = sqrt_m * config.abs_tol + config.rel_tol * max(
+        s_dual = float(np.linalg.norm(beta - beta_prev))
+        eps_pri = abs_floor + _OUTER_REL_TOL * max(
             float(np.linalg.norm(alpha)), float(np.linalg.norm(beta))
         )
-        eps_dual = sqrt_m * config.abs_tol + config.rel_tol * rho * float(
-            np.linalg.norm(v)
-        )
+        eps_dual = abs_floor + _OUTER_REL_TOL * float(np.linalg.norm(v))
         last_residual = max(r_pri, s_dual)
         if r_pri < best_r_pri:
             best_r_pri = r_pri

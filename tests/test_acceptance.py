@@ -30,6 +30,7 @@ from sparse_consist import (
     solve_admm_constrained,
     solve_fista,
     solve_ista,
+    solvers,
 )
 
 from reference_loop import reference_loop
@@ -184,11 +185,17 @@ def test_05_singleton_set_degenerates_to_denoiser_bitwise():
              f"{matched}/5 seeds bitwise identical to the plain denoiser loop")
 
 
-def test_06_constrained_baseline_matches_linear_program():
+def test_06_constrained_baseline_matches_linear_program(monkeypatch):
     t0 = time.perf_counter()
-    config = AdmmConfig(
-        max_iter=12000, inner_iters=100, inner_tol=1e-10, abs_tol=1e-8, rel_tol=1e-8
-    )
+    # tighter than the shipped settings, so the baseline reaches the optimum
+    for name, value in (
+        ("_INNER_ITERS", 100),
+        ("_INNER_TOL", 1e-10),
+        ("_OUTER_ABS_TOL", 1e-8),
+        ("_OUTER_REL_TOL", 1e-8),
+    ):
+        monkeypatch.setattr(solvers, name, value)
+    config = AdmmConfig(max_iter=12000)
     dspec = DistortionSpec.clipping(0.5)
     worst_gap = 0.0
     worst_violation = 0.0

@@ -35,6 +35,18 @@ def _clip_instance(seed, n=6, m=12, k=2, theta=0.5):
     return dic, dspec.preimage(dspec.apply(x))
 
 
+def _inner_budget(monkeypatch, iters, tol):
+    """Give the nested projection another round budget and tolerance."""
+    monkeypatch.setattr(solvers, "_INNER_ITERS", iters)
+    monkeypatch.setattr(solvers, "_INNER_TOL", tol)
+
+
+def _outer_tolerances(monkeypatch, abs_tol, rel_tol):
+    """Give the outer loop's stopping test other tolerances."""
+    monkeypatch.setattr(solvers, "_OUTER_ABS_TOL", abs_tol)
+    monkeypatch.setattr(solvers, "_OUTER_REL_TOL", rel_tol)
+
+
 def _assert_in_box(iset, x, tol):
     """x lies in the box, loosened by tol on each side."""
     assert (x >= iset.lower - tol).all() and (x <= iset.upper + tol).all()
@@ -70,18 +82,20 @@ def min_l1_via_lp(dic, iset):
 # nested projection
 
 
-def test_projection_of_feasible_point_is_identity():
+def test_projection_of_feasible_point_is_identity(monkeypatch):
     dic = gen_dictionary(60, 6, 12)
     rng = np.random.Generator(np.random.PCG64(160))
     u = rng.standard_normal(12)
     img = dic.synthesize(u)
     iset = IntervalSet(img - 1.0, img + 1.0)  # u is strictly interior
-    out = inner_projection(dic, iset, u, rho=1.0, iters=50, tol=1e-12)
+    _inner_budget(monkeypatch, 50, 1e-12)
+    out = inner_projection(dic, iset, u)
     np.testing.assert_allclose(out, u, atol=1e-12)
 
 
-def test_projection_with_orthogonal_dictionary_matches_closed_form():
+def test_projection_with_orthogonal_dictionary_matches_closed_form(monkeypatch):
     # for orthogonal D the projection is u + D^T (clamp(Du) - Du)
+    _inner_budget(monkeypatch, 4000, 1e-13)
     rng = np.random.Generator(np.random.PCG64(61))
     Q = ortho_group.rvs(6, random_state=np.random.RandomState(7))
     dic = Dictionary(Q)
@@ -90,12 +104,13 @@ def test_projection_with_orthogonal_dictionary_matches_closed_form():
         u = rng.standard_normal(6) * 2
         img = dic.synthesize(u)
         expected = u + dic.correlate(iset.project(img) - img)
-        out = inner_projection(dic, iset, u, rho=1.0, iters=4000, tol=1e-13)
+        out = inner_projection(dic, iset, u)
         np.testing.assert_allclose(out, expected, atol=1e-8)
 
 
-def test_projection_matches_quadratic_program_oracle():
+def test_projection_matches_quadratic_program_oracle(monkeypatch):
     cp = pytest.importorskip("cvxpy")
+    _inner_budget(monkeypatch, 5000, 1e-13)
     for seed in range(5):
         dic = gen_dictionary(200 + seed, 4, 6)
         rng = np.random.Generator(np.random.PCG64(300 + seed))
@@ -105,7 +120,7 @@ def test_projection_matches_quadratic_program_oracle():
         iset = dspec.preimage(dspec.apply(x))
         u = rng.standard_normal(6)
 
-        beta = inner_projection(dic, iset, u, rho=1.0, iters=5000, tol=1e-13)
+        beta = inner_projection(dic, iset, u)
 
         b = cp.Variable(6)
         img = dic.matrix @ b
@@ -119,46 +134,49 @@ def test_projection_matches_quadratic_program_oracle():
         np.testing.assert_allclose(beta, b.value, atol=1e-6)
 
 
-def test_projection_result_is_feasible():
+def test_projection_result_is_feasible(monkeypatch):
+    _inner_budget(monkeypatch, 3000, 1e-10)
     for seed in (62, 63, 64):
         dic, iset = _clip_instance(seed)
         rng = np.random.Generator(np.random.PCG64(seed))
         u = rng.standard_normal(dic.m) * 3
-        beta = inner_projection(dic, iset, u, rho=1.0, iters=3000, tol=1e-10)
+        beta = inner_projection(dic, iset, u)
         _assert_in_box(iset, dic.synthesize(beta), tol=1e-8)
 
 
-def test_projection_raises_when_budget_cannot_reach_the_set():
+def test_projection_raises_when_budget_cannot_reach_the_set(monkeypatch):
     dic = gen_dictionary(60, 6, 10)
     far = IntervalSet.singleton(np.full(6, 50.0))
+    _inner_budget(monkeypatch, 1, 1e-14)
     with pytest.raises(InnerProjectionError):
-        inner_projection(dic, far, np.zeros(10), rho=1.0, iters=1, tol=1e-14)
+        inner_projection(dic, far, np.zeros(10))
 
 
-def test_projection_of_a_non_finite_point_is_a_stall():
+def test_projection_of_a_non_finite_point_is_a_stall(monkeypatch):
     dic, iset = _clip_instance(68)
+    _inner_budget(monkeypatch, 5, 1e-8)
     with pytest.raises(InnerProjectionError):
-        inner_projection(dic, iset, np.full(dic.m, np.nan), rho=1.0, iters=5, tol=1e-8)
+        inner_projection(dic, iset, np.full(dic.m, np.nan))
 
 
 # ----------------------------------------------------------------------
 # the inner round against a plain reference
 
 
-def _reference_inner_projection(dictionary, iset, u, rho, iters, tol):
-    """The inner round written plainly: fresh arrays every round and
-    scipy's ``cho_solve`` (LAPACK ``potrs``) for the ridge solve. Kept as
-    the reference the lean round must match to rounding.
+def _reference_inner_projection(dictionary, iset, u, iters, tol):
+    """The inner round written plainly, with its penalty of 1: fresh arrays
+    every round and scipy's ``cho_solve`` (LAPACK ``potrs``) for the ridge
+    solve. Kept as the reference the lean round must match to rounding.
 
     Returns ``(beta, rounds, stalled)``.
     """
-    factor = dictionary.ridge_cho_factor(rho)
+    factor = dictionary.ridge_cho_factor(1.0)
     matrix = dictionary.matrix
     z = iset.project(matrix @ u)
     w = np.zeros(dictionary.n)
     beta, res, rounds = u, math.inf, 0
     for _ in range(iters):
-        rhs = u + rho * (matrix.T @ (z - w))
+        rhs = u + matrix.T @ (z - w)
         beta = cho_solve(factor, rhs, check_finite=False)
         image = matrix @ beta
         z = iset.project(image + w)
@@ -193,15 +211,15 @@ def _counting_solves(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_inner_projection_matches_the_reference_round(monkeypatch, seed, label):
     dic, iset = _protocol_case(seed, label)
-    config = AdmmConfig()
+    iters, tol = 50, 1e-8
+    _inner_budget(monkeypatch, iters, tol)
     rng = np.random.Generator(np.random.PCG64(seed))
     rounds = _counting_solves(monkeypatch)
     for u in (np.zeros(dic.m), 0.1 * rng.standard_normal(dic.m)):
-        args = (dic, iset, u, config.rho_inner, config.inner_iters, config.inner_tol)
-        ref_beta, ref_rounds, ref_stalled = _reference_inner_projection(*args)
+        ref_beta, ref_rounds, ref_stalled = _reference_inner_projection(dic, iset, u, iters, tol)
         rounds.clear()
         try:
-            beta = inner_projection(*args)
+            beta = inner_projection(dic, iset, u)
             stalled = False
         except InnerProjectionError:
             beta, stalled = None, True
@@ -221,7 +239,8 @@ def test_admm_matches_the_reference_round_in_stops(monkeypatch, seed, label):
     beta, trace = solve_admm_constrained(dic, iset, config)
 
     def reference(*args):
-        ref_beta, _, stalled = _reference_inner_projection(*args)
+        budget = (solvers._INNER_ITERS, solvers._INNER_TOL)
+        ref_beta, _, stalled = _reference_inner_projection(*args, *budget)
         if stalled:
             raise InnerProjectionError("reference round stalled")
         return ref_beta
@@ -285,10 +304,10 @@ def test_zero_target_returns_zero_coefficients():
     assert trace.converged
 
 
-def test_matches_linear_program_oracle():
-    config = AdmmConfig(
-        max_iter=4000, inner_iters=100, inner_tol=1e-10, abs_tol=1e-7, rel_tol=1e-7
-    )
+def test_matches_linear_program_oracle(monkeypatch):
+    _inner_budget(monkeypatch, 100, 1e-10)
+    _outer_tolerances(monkeypatch, 1e-7, 1e-7)
+    config = AdmmConfig(max_iter=4000)
     for seed in (100, 101, 102):
         dic, iset = _clip_instance(seed)
         beta, _ = solve_admm_constrained(dic, iset, config)
@@ -297,9 +316,10 @@ def test_matches_linear_program_oracle():
         _assert_in_box(iset, dic.synthesize(beta), tol=1e-6)
 
 
-def test_trace_records_l1_history():
+def test_trace_records_l1_history(monkeypatch):
     dic, iset = _clip_instance(66)
-    _, trace = solve_admm_constrained(dic, iset, AdmmConfig(max_iter=30, abs_tol=0.0, rel_tol=0.0))
+    _outer_tolerances(monkeypatch, 0.0, 0.0)
+    _, trace = solve_admm_constrained(dic, iset, AdmmConfig(max_iter=30))
     assert trace.iterations_run == 30
     assert len(trace.objective_per_iter) == 30
     assert (trace.objective_per_iter >= 0.0).all()
@@ -339,10 +359,10 @@ def test_wall_time_excludes_the_ridge_factorization(monkeypatch):
     assert trace.wall_time_seconds < 0.2
 
 
-def test_unreachable_inner_budget_reports_failure_not_exception():
+def test_unreachable_inner_budget_reports_failure_not_exception(monkeypatch):
     dic, iset = _clip_instance(60, n=6, m=10)
-    config = AdmmConfig(inner_iters=1, inner_tol=1e-14, max_iter=50)
-    beta, trace = solve_admm_constrained(dic, iset, config)
+    _inner_budget(monkeypatch, 1, 1e-14)
+    beta, trace = solve_admm_constrained(dic, iset, AdmmConfig(max_iter=50))
     assert not trace.converged
     assert trace.stop_reason == "inner_stall"
     assert trace.iterations_run == len(trace.objective_per_iter)
@@ -358,22 +378,8 @@ def test_rejects_mismatched_set_length():
 
 def test_admm_config_validation():
     with pytest.raises(ValueError):
-        AdmmConfig(rho_outer=0.0)
-    with pytest.raises(ValueError):
-        AdmmConfig(rho_inner=-1.0)
-    with pytest.raises(ValueError):
-        AdmmConfig(inner_iters=0)
-    with pytest.raises(ValueError):
-        AdmmConfig(inner_tol=0.0)
-    with pytest.raises(ValueError):
         AdmmConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        AdmmConfig(abs_tol=-1e-9)
-    for field in ("rho_outer", "rho_inner", "inner_tol", "abs_tol", "rel_tol"):
-        with pytest.raises(ValueError):
-            AdmmConfig(**{field: np.nan})
-    for field in ("inner_iters", "max_iter"):
-        for value in (2.5, 50.0):
-            with pytest.raises(ValueError, match=field):
-                AdmmConfig(**{field: value})
-        assert getattr(AdmmConfig(**{field: np.int32(9)}), field) == 9
+    for value in (2.5, 50.0, np.nan):
+        with pytest.raises(ValueError, match="max_iter"):
+            AdmmConfig(max_iter=value)
+    assert AdmmConfig(max_iter=np.int32(9)).max_iter == 9

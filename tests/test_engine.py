@@ -21,6 +21,7 @@ from sparse_consist import (
     solve_fista,
     solve_ista,
 )
+from sparse_consist.operators import _aligned_empty
 from sparse_consist.solvers import _kkt_from_gradient
 
 from reference_loop import box_residual, reference_loop
@@ -154,6 +155,9 @@ def test_blas_operands_start_on_a_cache_line(monkeypatch, tmp_path):
     ]
     assert all(_aligned(d.matrix) for d in built)
     assert _aligned(dic.ridge_cho_factor(1.0)[0])
+    for shape, expected in ((13, (13,)), ((5, 3), (5, 3))):
+        buf = _aligned_empty(shape)
+        assert _aligned(buf) and buf.shape == expected and buf.flags["C_CONTIGUOUS"]
 
 
 # ----------------------------------------------------------------------

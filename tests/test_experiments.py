@@ -12,6 +12,7 @@ from scipy.special import ndtri
 
 import sparse_consist.experiments as exps
 import sparse_consist.operators as operators
+import sparse_consist.solvers as solvers
 from sparse_consist import (
     SIGNAL_SEED_OFFSET,
     AdmmConfig,
@@ -200,6 +201,11 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=field):
             _small_spec(**{field: 3.0})
         assert getattr(_small_spec(**{field: np.int64(3)}), field) == 3
+    # a config of the wrong type would fail every solve, leaving a CSV of nan
+    with pytest.raises(ValueError, match="solver_config"):
+        _small_spec(solvers=("ista", "admm"), solver_config=None)
+    with pytest.raises(ValueError, match="admm_config"):
+        _small_spec(solvers=("ista", "admm"), admm_config={"max_iter": 5})
     spec = _small_spec(solvers=["ista"])  # lists are coerced
     assert spec.solvers == ("ista",)
 
@@ -240,8 +246,9 @@ def test_worker_pool_reduces_identically():
     assert [s.mean_snr_db for s in run_experiment(shared, jobs=2).per_point] == [
         s.mean_snr_db for s in run_experiment(shared, jobs=1).per_point
     ]
-    with pytest.raises(ValueError):
-        run_experiment(spec, jobs=0)
+    for jobs in (0, 1.5, 2.0):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(spec, jobs=jobs)
 
 
 def test_shared_dictionary_reuses_the_base_draw():
@@ -323,6 +330,8 @@ def test_pool_workers_build_the_shared_state_once_each(monkeypatch):
 
 
 def test_inner_stall_counts_as_a_success(monkeypatch):
+    monkeypatch.setattr(solvers, "_INNER_ITERS", 1)
+    monkeypatch.setattr(solvers, "_INNER_TOL", 1e-14)
     reasons = []
     original = exps.solve_admm_constrained
 
@@ -336,7 +345,7 @@ def test_inner_stall_counts_as_a_success(monkeypatch):
         trials=1,
         distortion_grid=(DistortionSpec.clipping(0.5),),
         solvers=("admm",),
-        admm_config=AdmmConfig(inner_iters=1, inner_tol=1e-14, max_iter=50),
+        admm_config=AdmmConfig(max_iter=50),
     )
     result = run_experiment(spec)
     assert reasons == ["inner_stall"]

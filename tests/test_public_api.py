@@ -5,9 +5,11 @@ Everything else stays reachable from the module that defines it, such as
 purpose, not by accident.
 """
 
+import dataclasses
 import types
 
 import sparse_consist
+from sparse_consist import AdmmConfig, ExperimentSpec, SolverConfig
 
 EXPORTED = {
     # operators, feasibility, errors
@@ -49,3 +51,25 @@ def test_the_package_exports_exactly_its_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == EXPORTED
+
+
+def test_each_config_has_exactly_its_settable_fields():
+    # a new knob is a setting every test and benchmark has to cover, so it
+    # is added here on purpose too
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(SolverConfig) == ("lam", "max_iter", "rel_tol", "alpha0")
+    assert names(AdmmConfig) == ("max_iter",)
+    assert names(ExperimentSpec) == (
+        "n",
+        "m",
+        "k_sparse",
+        "trials",
+        "seed",
+        "distortion_grid",
+        "solvers",
+        "solver_config",
+        "admm_config",
+        "shared_dictionary",
+    )
