@@ -179,6 +179,8 @@ class ExperimentSpec:
             raise ValueError(f"solver_config must be a SolverConfig, got {self.solver_config!r}")
         if not isinstance(self.admm_config, AdmmConfig):
             raise ValueError(f"admm_config must be an AdmmConfig, got {self.admm_config!r}")
+        if not isinstance(self.shared_dictionary, (bool, np.bool_)):
+            raise ValueError(f"shared_dictionary must be a bool, got {self.shared_dictionary!r}")
         if not self.solvers:
             raise ValueError("solvers must be non-empty")
         for name in self.solvers:

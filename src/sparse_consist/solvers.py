@@ -97,19 +97,19 @@ class SolverConfig:
     """Settings shared by the proximal solvers.
 
     The step is always ``1 / L``, with L the dictionary's cached padded
-    estimate of ``||D^T D||_2``. ``alpha0=None`` starts from the zero
-    vector; a given warm start is stored as a read-only float64 copy, so a
-    later write to the caller's array changes no solve. Two configs are
-    equal, and hash alike, when their warm starts have the same shape and
-    the same bytes.
+    estimate of ``||D^T D||_2``, and every solve starts from the zero
+    vector. A config holds settings only, so one config serves every trial
+    of a sweep, and the dataclass's own equality and hash apply.
     """
 
     lam: float = 1e-2
     max_iter: int = 400
     rel_tol: float = 1e-6
-    alpha0: np.ndarray | None = None
 
     def __post_init__(self):
+        for name, value in (("lam", self.lam), ("rel_tol", self.rel_tol)):
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
         _require_integers(max_iter=self.max_iter)
@@ -117,24 +117,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if not self.rel_tol >= 0.0:
             raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
-        if self.alpha0 is not None:
-            alpha0 = np.array(self.alpha0, dtype=np.float64)
-            alpha0.setflags(write=False)
-            object.__setattr__(self, "alpha0", alpha0)
-
-    def _key(self) -> tuple:
-        warm = self.alpha0
-        if warm is not None:
-            warm = (warm.shape, warm.tobytes())
-        return (self.lam, self.max_iter, self.rel_tol, warm)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 @dataclass
@@ -185,16 +167,6 @@ def _check_set_length(dictionary: Dictionary, iset: IntervalSet) -> None:
             f"feasibility set of length {len(iset)} does not match "
             f"signal dimension {dictionary.n}"
         )
-
-
-def _initial_alpha(dictionary: Dictionary, config: SolverConfig) -> np.ndarray:
-    if config.alpha0 is None:
-        return np.zeros(dictionary.m)
-    if config.alpha0.shape != (dictionary.m,):
-        raise DimensionMismatch(
-            f"alpha0 has shape {config.alpha0.shape}, expected ({dictionary.m},)"
-        )
-    return config.alpha0
 
 
 def _shrink(v: np.ndarray, thresh: float, mag: np.ndarray) -> float:
@@ -254,7 +226,7 @@ def _fista_engine(
     cur[m:m_pad] = nxt[m:m_pad] = 0.0
     alpha, z = cur[:m], cur[m_pad:]
     alpha_next, z_next = nxt[:m], nxt[m_pad:]
-    alpha[:] = _initial_alpha(dictionary, config)
+    alpha[:] = 0.0
     dictionary.synthesize(alpha, out=z)
     r, r_next = _aligned_empty(n), _aligned_empty(n)
     iset.grad_half_distance_sq(z, out=r)

@@ -20,11 +20,7 @@ def reference_loop(matrix, residual, config, step, momentum):
     """
     lam = config.lam
     thresh = step * lam
-    alpha = (
-        np.zeros(matrix.shape[1])
-        if config.alpha0 is None
-        else np.array(config.alpha0, dtype=np.float64)
-    )
+    alpha = np.zeros(matrix.shape[1])
     z_alpha = matrix @ alpha
     u, z_u, t = alpha, z_alpha, 1.0
     r0 = residual(z_alpha)

@@ -367,18 +367,26 @@ def test_bench_reruns_are_byte_identical(tmp_path):
     [
         ("declip-bench", [], "declip_bench_small.csv"),
         ("dequant-bench", ["--shared-dictionary"], "dequant_bench_small.csv"),
+        (
+            "declip-bench",
+            ["--solvers", "ista,fista,admm", "--grid", "0.4,0.8", "--admm-max-iter", "60"],
+            "declip_admm_small.csv",
+        ),
     ],
-    ids=["declip", "dequant"],
+    ids=["declip", "dequant", "declip-admm"],
 )
 def test_bench_csv_matches_committed_golden_file(tmp_path, command, extra, golden):
     """Pins the sweep CSVs byte for byte across refactors.
 
     The golden files were written by ``sparse-consist <command> --n 16 --m 32
-    --k-sparse 3 --trials 3 --seed 7 --jobs 1`` (plus ``--shared-dictionary``
-    for dequant-bench). Regenerate them only together with a CHANGES.md entry
+    --k-sparse 3 --trials 3 --seed 7 --jobs 1`` plus the case's extra flags:
+    ``--shared-dictionary`` for dequant-bench, and ``--solvers
+    ista,fista,admm --grid 0.4,0.8 --admm-max-iter 60`` for the constrained
+    baseline's file. Regenerate them only together with a CHANGES.md entry
     that states a deliberate change in floating-point rounding, such as
-    replacing the matrix-vector products with matrix-matrix ones; any other
-    difference is a behaviour change.
+    replacing the matrix-vector products with matrix-matrix ones, or a
+    deliberate change of the baseline; any other difference is a behaviour
+    change.
     """
     out = tmp_path / golden
     rc = main([

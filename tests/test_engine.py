@@ -52,17 +52,14 @@ def _assert_same_run(got, ref, lam):
 def test_engine_matches_the_reference_loop_bit_for_bit(label, rel_tol):
     dic, iset, x = _protocol_case(0, label)
     step = 1.0 / dic.estimate_lipschitz()
-    cold = SolverConfig(lam=1e-2, max_iter=150 if rel_tol == 0.0 else 400, rel_tol=rel_tol)
-    warm_start, _ = solve_fista(dic, iset, SolverConfig(max_iter=30, rel_tol=0.0))
-    warm = SolverConfig(lam=1e-2, max_iter=120, rel_tol=rel_tol, alpha0=warm_start)
-    for config in (cold, warm):
-        for solver, momentum in ((solve_ista, False), (solve_fista, True)):
-            ref = reference_loop(dic.matrix, box_residual(iset), config, step, momentum)
-            _assert_same_run(solver(dic, iset, config), ref, config.lam)
-        # denoising: FISTA on the identity's pre-image, the singleton {x}
-        ref = reference_loop(dic.matrix, lambda z: z - x, config, step, True)
-        denoise = DistortionSpec.identity().preimage(x)
-        _assert_same_run(solve_fista(dic, denoise, config), ref, config.lam)
+    config = SolverConfig(lam=1e-2, max_iter=150 if rel_tol == 0.0 else 400, rel_tol=rel_tol)
+    for solver, momentum in ((solve_ista, False), (solve_fista, True)):
+        ref = reference_loop(dic.matrix, box_residual(iset), config, step, momentum)
+        _assert_same_run(solver(dic, iset, config), ref, config.lam)
+    # denoising: FISTA on the identity's pre-image, the singleton {x}
+    ref = reference_loop(dic.matrix, lambda z: z - x, config, step, True)
+    denoise = DistortionSpec.identity().preimage(x)
+    _assert_same_run(solve_fista(dic, denoise, config), ref, config.lam)
 
 
 @given(

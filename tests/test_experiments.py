@@ -206,6 +206,11 @@ def test_spec_validation():
         _small_spec(solvers=("ista", "admm"), solver_config=None)
     with pytest.raises(ValueError, match="admm_config"):
         _small_spec(solvers=("ista", "admm"), admm_config={"max_iter": 5})
+    # a truthy non-bool such as "no" would silently draw a shared dictionary
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match="shared_dictionary"):
+            _small_spec(shared_dictionary=bad)
+    assert _small_spec(shared_dictionary=np.bool_(True)).shared_dictionary
     spec = _small_spec(solvers=["ista"])  # lists are coerced
     assert spec.solvers == ("ista",)
 
