@@ -41,8 +41,6 @@ from .experiments import (
 from .operators import Dictionary, DistortionSpec
 from .solvers import AdmmConfig, SolverConfig, SolverTrace
 
-ENV_SEED = "SPARSE_CONSIST_SEED"
-
 # The sweep subcommands: (name, distortion kind, default grid, grid help,
 # results file, subcommand help).
 _BENCHES = (
@@ -66,19 +64,19 @@ def _load_vector(path: str) -> np.ndarray:
     return vec
 
 
-def _parse_solvers(text: str) -> tuple:
-    names = tuple(s.strip().lower() for s in text.split(",") if s.strip())
-    if not names:
-        raise ValueError("no solvers given")
-    return names
-
-
 def _parse_grid(kind: str, text: str) -> tuple:
     """The distortions ``kind:v`` for each entry v of a comma list."""
     grid = tuple(DistortionSpec.parse(f"{kind}:{v}") for v in text.split(",") if v.strip())
     if not grid:
         raise ValueError("empty grid")
     return grid
+
+
+def _check_out_dir(path: str | None) -> None:
+    """Refuse an output path whose directory does not exist, before a sweep
+    spends its time on results it could not write."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{path}: the directory for this output does not exist")
 
 
 def _solver_configs(args) -> tuple[SolverConfig, AdmmConfig]:
@@ -166,7 +164,7 @@ def _sweep_spec(args, grid: tuple) -> ExperimentSpec:
         trials=args.trials,
         seed=args.seed,
         distortion_grid=grid,
-        solvers=_parse_solvers(args.solvers),
+        solvers=tuple(s.strip().lower() for s in args.solvers.split(",") if s.strip()),
         solver_config=solver_config,
         admm_config=admm_config,
         shared_dictionary=args.shared_dictionary,
@@ -174,6 +172,8 @@ def _sweep_spec(args, grid: tuple) -> ExperimentSpec:
 
 
 def _run_bench(args) -> int:
+    _check_out_dir(args.out)
+    _check_out_dir(args.plot_data)
     grid = _parse_grid(args.kind, args.grid)
     result = run_experiment(_sweep_spec(args, grid), jobs=args.jobs)
     write_results_csv(args.out, result, include_times=args.times)
@@ -193,6 +193,7 @@ def _run_bench(args) -> int:
 
 
 def cmd_timing(args) -> int:
+    _check_out_dir(args.out)
     clip_grid = _parse_grid("clip", args.clip_grid)
     quant_grid = _parse_grid("quant", args.quant_grid)
     rows = run_timing_table(
@@ -214,7 +215,7 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-sparse", type=int, default=ExperimentSpec.k_sparse,
                    help="support size of test vectors")
     p.add_argument("--seed", type=int, default=ExperimentSpec.seed,
-                   help=f"base PRNG seed (env {ENV_SEED} overrides)")
+                   help="base PRNG seed")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -306,14 +307,6 @@ def main(argv=None) -> int:
     for name, value in vars(args).items():
         if isinstance(value, list):
             print(f"error: {name} has no value", file=sys.stderr)
-            return 2
-
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None and hasattr(args, "seed"):
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"error: {ENV_SEED}={env_seed!r} is not an integer", file=sys.stderr)
             return 2
 
     try:

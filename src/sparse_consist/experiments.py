@@ -29,12 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch
-from .feasibility import _as_vector
+from .feasibility import _as_vector, _count
 from .operators import Dictionary, DistortionSpec
 from .solvers import (
     AdmmConfig,
     SolverConfig,
-    _require_integers,
     solve_admm_constrained,
     solve_fista,
     solve_ista,
@@ -50,9 +49,7 @@ CSV_HEADER = "task,solver,distortion_param,mean_snr_db,std_snr_db,mean_iters,mea
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_count(seed, "seed")))
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
@@ -71,7 +68,8 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
 
 def sample_support(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
     """k distinct indices from range(m), uniform, by partial Fisher-Yates."""
-    if not 1 <= k <= m:
+    k = _count(k, "k", 1)
+    if k > m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     idx = np.arange(m)
     for i in range(k):
@@ -82,8 +80,7 @@ def sample_support(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
 
 def gen_dictionary(seed: int, n: int, m: int) -> Dictionary:
     """Dictionary with i.i.d. standard normal entries, no column scaling."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be at least 1")
+    n, m = _count(n, "n", 1), _count(m, "m", 1)
     rng = make_rng(seed)
     return Dictionary(standard_normal(rng, (n, m)))
 
@@ -140,7 +137,8 @@ def snr_db(reference, estimate) -> float:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one sweep, including the seed."""
+    """Everything needed to reproduce one sweep, including the seed. The
+    counts are stored as ``int`` and ``shared_dictionary`` as ``bool``."""
 
     n: int = 256
     m: int = 512
@@ -156,17 +154,10 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "distortion_grid", tuple(self.distortion_grid))
         object.__setattr__(self, "solvers", tuple(self.solvers))
-        _require_integers(
-            n=self.n, m=self.m, k_sparse=self.k_sparse, trials=self.trials, seed=self.seed
-        )
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be at least 1")
-        if not 1 <= self.k_sparse <= self.m:
+        for name, floor in (("n", 1), ("m", 1), ("k_sparse", 1), ("trials", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, floor))
+        if self.k_sparse > self.m:
             raise ValueError("k_sparse must lie in [1, m]")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.distortion_grid:
             raise ValueError("distortion_grid must be non-empty")
         grid = self.distortion_grid
@@ -181,6 +172,7 @@ class ExperimentSpec:
             raise ValueError(f"admm_config must be an AdmmConfig, got {self.admm_config!r}")
         if not isinstance(self.shared_dictionary, (bool, np.bool_)):
             raise ValueError(f"shared_dictionary must be a bool, got {self.shared_dictionary!r}")
+        object.__setattr__(self, "shared_dictionary", bool(self.shared_dictionary))
         if not self.solvers:
             raise ValueError("solvers must be non-empty")
         for name in self.solvers:
@@ -306,9 +298,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
     through the pool's initializer, so each worker computes those values at
     most once and the work items stay small.
     """
-    _require_integers(jobs=jobs)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    jobs = _count(jobs, "jobs", 1)
     shared = gen_dictionary(spec.seed, spec.n, spec.m) if spec.shared_dictionary else None
     if jobs == 1 or spec.trials == 1:
         trial_results = [_trial_worker((spec, t, shared)) for t in range(spec.trials)]

@@ -12,6 +12,7 @@ is built on that residual; ``solvers.certificate`` evaluates it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,26 @@ def _as_vector(x, name: str = "x") -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     return arr
+
+
+def _count(value, name: str, floor: int = 0) -> int:
+    """``value``, an integer that is not a bool and at least ``floor``, as
+    an ``int``, so that seed arithmetic neither wraps nor overflows."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < floor:
+        bound = "non-negative" if floor == 0 else f"at least {floor}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    """``value``, a real number that is not a bool, as a ``float``, so that
+    a float32 setting cannot lower the precision of what it scales."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)

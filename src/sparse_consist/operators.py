@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch
-from .feasibility import IntervalSet, _as_vector
+from .feasibility import IntervalSet, _as_vector, _real
 
 # Power iteration underestimates the top eigenvalue; the gradient step size
 # 1 / L is only safe for L at or above the true value, so pad the estimate.
@@ -225,10 +225,10 @@ class Dictionary:
         ``rho * D.T @ D`` overflows, a nonzero atom's diagonal entry
         underflows, every Gram value is negligible next to the identity (the
         system is exactly I), or the Gram values swamp the identity so that
-        the factorization fails.
+        the factorization fails; and when rho is not a positive real number.
         """
-        rho = float(rho)
-        if rho <= 0.0:
+        rho = _real(rho, "rho")
+        if not rho > 0.0:
             raise ValueError("rho must be positive")
         factor = self._ridge_factors.get(rho)
         if factor is None:
@@ -301,7 +301,8 @@ class DistortionSpec:
     """Parameters of the forward distortion applied to a clean signal.
 
     ``kind`` is ``clip``, ``quant`` or ``none``; ``param`` is the symmetric
-    clip level, the bit depth, or None for ``none``. ``apply`` runs the
+    clip level or the bit depth, a real number stored as ``float``, or None
+    for ``none``. ``apply`` runs the
     distortion and ``preimage`` builds the feasibility set of all signals
     consistent with an observation. An asymmetric clip ``np.clip(x, lo,
     hi)`` has no spec; its box is ``IntervalSet(lower, upper)`` with both
@@ -320,7 +321,7 @@ class DistortionSpec:
             raise ValueError(f"distortion {self.kind!r} {need} parameter")
         if self.param is None:
             return
-        param = float(self.param)
+        param = _real(self.param, "clip level" if self.kind == "clip" else "bit depth")
         object.__setattr__(self, "param", param)
         if self.kind == "clip" and not param > 0.0:
             raise ValueError(f"clip level must be positive, got {param}")

@@ -23,14 +23,13 @@ result's JSON form belongs to :mod:`sparse_consist.cli`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
 from .errors import DimensionMismatch, InnerProjectionError
-from .feasibility import IntervalSet
+from .feasibility import IntervalSet, _count, _real
 from .operators import Dictionary, _aligned_empty
 
 # Floor for the denominator of the relative objective-change test, so that
@@ -44,14 +43,6 @@ _INNER_ITERS = 50
 _INNER_TOL = 1e-8
 _OUTER_ABS_TOL = 1e-6
 _OUTER_REL_TOL = 1e-6
-
-
-def _require_integers(**fields) -> None:
-    """Refuse a count or seed that is not an integer; numpy integers pass.
-    A float would pass the range checks and fail later, inside a solve."""
-    for name, value in fields.items():
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def soft_threshold(rho: float, v: np.ndarray) -> np.ndarray:
@@ -99,7 +90,8 @@ class SolverConfig:
     The step is always ``1 / L``, with L the dictionary's cached padded
     estimate of ``||D^T D||_2``, and every solve starts from the zero
     vector. A config holds settings only, so one config serves every trial
-    of a sweep, and the dataclass's own equality and hash apply.
+    of a sweep, and the dataclass's own equality and hash apply. ``lam``
+    and ``rel_tol`` are stored as ``float`` and ``max_iter`` as ``int``.
     """
 
     lam: float = 1e-2
@@ -107,14 +99,11 @@ class SolverConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        for name, value in (("lam", self.lam), ("rel_tol", self.rel_tol)):
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        object.__setattr__(self, "lam", _real(self.lam, "lam"))
+        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter", 1))
+        object.__setattr__(self, "rel_tol", _real(self.rel_tol, "rel_tol"))
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
-        _require_integers(max_iter=self.max_iter)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
         if not self.rel_tol >= 0.0:
             raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
 
@@ -156,9 +145,7 @@ class AdmmConfig:
     max_iter: int = 400
 
     def __post_init__(self):
-        _require_integers(max_iter=self.max_iter)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter", 1))
 
 
 def _check_set_length(dictionary: Dictionary, iset: IntervalSet) -> None:

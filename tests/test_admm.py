@@ -379,7 +379,7 @@ def test_rejects_mismatched_set_length():
 def test_admm_config_validation():
     with pytest.raises(ValueError):
         AdmmConfig(max_iter=0)
-    for value in (2.5, 50.0, np.nan):
+    for value in (2.5, 50.0, np.nan, True):
         with pytest.raises(ValueError, match="max_iter"):
             AdmmConfig(max_iter=value)
     assert AdmmConfig(max_iter=np.int32(9)).max_iter == 9

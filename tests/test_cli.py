@@ -10,13 +10,7 @@ import pytest
 
 from sparse_consist import Dictionary, DistortionSpec
 from sparse_consist import experiments as exps
-from sparse_consist.cli import ENV_SEED, main
-
-
-@pytest.fixture(autouse=True)
-def _clean_seed_env(monkeypatch):
-    monkeypatch.delenv(ENV_SEED, raising=False)
-
+from sparse_consist.cli import main
 
 SMALL = ["--n", "16", "--m", "32", "--k-sparse", "3"]
 
@@ -202,19 +196,11 @@ def test_malformed_distortion_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_bad_seed_env_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv(ENV_SEED, "not-a-number")
-    rc = main(["gen", *SMALL, "--out", str(tmp_path / "g")])
-    assert rc == 2
-
-
-def test_negative_seed_exits_2_before_gen_writes_anything(tmp_path, monkeypatch, capsys):
+def test_negative_seed_exits_2_before_gen_writes_anything(tmp_path, capsys):
     out = tmp_path / "g"
     assert main(["gen", *SMALL, "--seed", "-1", "--out", str(out)]) == 2
-    monkeypatch.setenv(ENV_SEED, "-1")
-    assert main(["gen", *SMALL, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: seed must be non-negative, got -1"] * 2
+    assert err == ["error: seed must be non-negative, got -1"]
     assert not out.exists()
 
 
@@ -301,12 +287,37 @@ def test_bench_rejects_bad_grids(tmp_path, capsys):
         ["declip-bench", "--grid", "0.5,0.5"],
         ["timing", "--clip-grid", "0.5,0.50"],
         ["dequant-bench", "--grid", "53"],
+        ["declip-bench", "--solvers", ","],
     ):
         assert main([*argv, *SMALL, "--out", str(tmp_path / "b.csv")]) == 2
     assert main(["gen", "--distortion", "quant:inf", "--out", str(tmp_path / "g")]) == 2
     assert main(["gen", "--distortion", "quant:53", "--out", str(tmp_path / "g")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 13 and all(line.startswith("error: ") for line in err)
+    assert len(err) == 14 and all(line.startswith("error: ") for line in err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["declip-bench", "--out"],
+        ["dequant-bench", "--plot-data"],
+        ["timing", "--out"],
+    ],
+    ids=["bench-out", "bench-plot-data", "timing-out"],
+)
+def test_sweep_refuses_a_missing_output_directory_before_it_runs(
+    tmp_path, monkeypatch, capsys, argv
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("sparse_consist.cli.run_experiment", never)
+    monkeypatch.setattr(exps, "run_experiment", never)  # what timing runs
+    missing = str(tmp_path / "nodir" / "x.csv")
+    assert main([*argv, missing, *SMALL, "--trials", "2", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and missing in err[0]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -334,20 +345,6 @@ def test_timing_table_csv(tmp_path):
 
 # ----------------------------------------------------------------------
 # reproducibility
-
-
-def test_env_seed_overrides_flag(tmp_path, monkeypatch):
-    a = _gen(tmp_path / "a", "--seed", "9")
-
-    monkeypatch.setenv(ENV_SEED, "9")
-    out_b = tmp_path / "b" / "instance"
-    # the flag says seed 3 but the environment wins
-    rc = main(["gen", *SMALL, "--seed", "3", "--out", str(out_b)])
-    assert rc == 0
-    assert (out_b / "dictionary.bin").read_bytes() == (
-        (tmp_path / "a" / "instance" / "dictionary.bin").read_bytes()
-    )
-    assert a is not None
 
 
 def test_bench_reruns_are_byte_identical(tmp_path):

@@ -59,6 +59,9 @@ def test_normal_draws_are_seed_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.isfinite(a).all()
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            make_rng(bad)
 
 
 def test_normal_draws_match_shape_argument():
@@ -99,6 +102,8 @@ def test_support_sampling_contract():
         sample_support(rng, 5, 0)
     with pytest.raises(ValueError):
         sample_support(rng, 5, 6)
+    with pytest.raises(ValueError, match="k"):
+        sample_support(rng, 4, 2.0)
 
 
 def test_support_sampling_covers_all_indices():
@@ -127,8 +132,9 @@ def test_dictionary_is_seed_deterministic():
 
 
 def test_dictionary_rejects_empty_shapes():
-    with pytest.raises(ValueError):
-        gen_dictionary(0, 0, 4)
+    for n in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            gen_dictionary(0, n, 4)
 
 
 def test_sparse_signal_contract():
@@ -142,6 +148,8 @@ def test_sparse_signal_contract():
     # every signal of an all-zero dictionary is zero, so no draw can be scaled
     with pytest.raises(ValueError, match="all zeros"):
         gen_sparse_signal(0, Dictionary(np.zeros((4, 8))), 2)
+    with pytest.raises(ValueError, match="k"):
+        gen_sparse_signal(0, dic, True)
 
 
 # ----------------------------------------------------------------------
@@ -196,11 +204,11 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="repeat"):
         _small_spec(distortion_grid=(DistortionSpec.clipping(0.5), DistortionSpec.parse("clip:.50")))
     for field in ("n", "m", "k_sparse", "trials", "seed"):
-        with pytest.raises(ValueError, match=field):
-            _small_spec(**{field: 1.5})
-        with pytest.raises(ValueError, match=field):
-            _small_spec(**{field: 3.0})
+        for bad in (1.5, 3.0, True):
+            with pytest.raises(ValueError, match=field):
+                _small_spec(**{field: bad})
         assert getattr(_small_spec(**{field: np.int64(3)}), field) == 3
+        assert type(getattr(_small_spec(**{field: np.int32(3)}), field)) is int
     # a config of the wrong type would fail every solve, leaving a CSV of nan
     with pytest.raises(ValueError, match="solver_config"):
         _small_spec(solvers=("ista", "admm"), solver_config=None)
@@ -238,6 +246,13 @@ def test_sweep_is_deterministic_and_ordered():
         assert s.mean_iterations == 50.0  # rel_tol=0 always runs the full budget
 
 
+def test_a_numpy_integer_seed_sweeps_like_its_python_twin(tmp_path):
+    # in int32 arithmetic, seed + trial + SIGNAL_SEED_OFFSET overflows
+    for seed, name in ((7, "int.csv"), (np.int32(7), "int32.csv")):
+        write_results_csv(tmp_path / name, run_experiment(_small_spec(seed=seed, trials=2)))
+    assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "int32.csv").read_bytes()
+
+
 def test_worker_pool_reduces_identically():
     spec = _small_spec()
     serial = run_experiment(spec, jobs=1)
@@ -251,7 +266,7 @@ def test_worker_pool_reduces_identically():
     assert [s.mean_snr_db for s in run_experiment(shared, jobs=2).per_point] == [
         s.mean_snr_db for s in run_experiment(shared, jobs=1).per_point
     ]
-    for jobs in (0, 1.5, 2.0):
+    for jobs in (0, 1.5, 2.0, True):
         with pytest.raises(ValueError, match="jobs"):
             run_experiment(spec, jobs=jobs)
 

@@ -218,8 +218,9 @@ def test_ridge_factor_solves_the_ridge_system():
     system = np.eye(8) + rho * (d.matrix.T @ d.matrix)
     np.testing.assert_allclose(system @ x, rhs, atol=1e-10)
     assert d.ridge_cho_factor(rho) is factor  # cached per rho
-    with pytest.raises(ValueError):
-        d.ridge_cho_factor(0.0)
+    for rho in (0.0, np.nan):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            d.ridge_cho_factor(rho)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -327,6 +328,9 @@ def test_spec_validation():
         DistortionSpec.clipping(-0.5)
     with pytest.raises(ValueError):
         DistortionSpec.quantization(0)
+    for kind, param in (("quant", "4"), ("quant", True), ("clip", "0.5"), ("clip", True)):
+        with pytest.raises(ValueError):
+            DistortionSpec(kind, param)
 
 
 def test_parse_round_trips():

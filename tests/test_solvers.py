@@ -243,11 +243,15 @@ def test_solver_config_validation():
         dict(lam=None),
         dict(rel_tol="0"),
         dict(rel_tol=None),
+        dict(max_iter=True),
+        dict(lam=True),
+        dict(rel_tol=False),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
     assert SolverConfig(lam=np.float32(0.5)).lam == 0.5
+    assert type(SolverConfig(lam=np.float32(0.5)).lam) is float
     assert SolverConfig() == SolverConfig()
     assert hash(SolverConfig()) == hash(SolverConfig())
     assert SolverConfig() != SolverConfig(lam=0.5)
