@@ -73,9 +73,16 @@ def _parse_grid(kind: str, text: str) -> tuple:
 
 
 def _check_out_dir(path: str | None) -> None:
-    """Refuse an output path whose directory does not exist, before a sweep
-    spends its time on results it could not write."""
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse an output path that is empty, is a directory, or lies in a
+    directory that does not exist, before a command spends its time on
+    results it could not write."""
+    if path is None:
+        return
+    if not path:
+        raise ValueError("an output path must not be empty")
+    if os.path.isdir(path):
+        raise ValueError(f"{path}: is a directory, not an output file")
+    if not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"{path}: the directory for this output does not exist")
 
 
@@ -139,6 +146,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_out_dir(args.out)
     dictionary = _load_dictionary(args.dict)
     y = _load_vector(args.observation)
     dspec = DistortionSpec.parse(args.distortion)
@@ -267,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", required=True,
                    help="dictionary file (.csv as text, anything else as binary)")
     p.add_argument("--observation", required=True, help="observed signal, one value per line")
-    p.add_argument("--distortion", required=True, help="clip:THETA or quant:NBITS or none")
+    p.add_argument("--distortion", required=True,
+                   help="clip:THETA or quant:NBITS; clip:inf is no distortion")
     p.add_argument("--solver", choices=SOLVER_NAMES, default="fista")
     _add_solver_flags(p)
     p.add_argument("--out", default="result.json", help="output JSON path")

@@ -95,6 +95,9 @@ def gen_sparse_signal(seed: int, dictionary: Dictionary, k_sparse: int):
     column that loop ends with probability one. An all-zero dictionary,
     whose every signal is zero, raises ValueError instead.
     """
+    k_sparse = _count(k_sparse, "k_sparse", 1)
+    if k_sparse > dictionary.m:
+        raise ValueError(f"k_sparse must be at most m = {dictionary.m}, got {k_sparse}")
     if not dictionary.matrix.any():
         raise ValueError("dictionary is all zeros, so every signal it synthesizes is zero")
     rng = make_rng(seed)
@@ -412,11 +415,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _sweep_param(dspec: DistortionSpec) -> float:
-    # The identity distortion has no parameter; its column reads nan.
-    return math.nan if dspec.param is None else dspec.param
-
-
 def write_results_csv(path, result: AggregateResult, include_times: bool = False) -> None:
     """Emit the sweep CSV. Wall times are measurements, so by default the
     time column holds NA to keep repeated runs byte-identical; pass
@@ -429,7 +427,7 @@ def write_results_csv(path, result: AggregateResult, include_times: bool = False
                 [
                     s.distortion.task,
                     s.solver,
-                    _fmt(_sweep_param(s.distortion)),
+                    _fmt(s.distortion.param),
                     _fmt(s.mean_snr_db),
                     _fmt(s.std_snr_db),
                     _fmt(s.mean_iterations),
@@ -454,9 +452,9 @@ def write_plot_data(path, result: AggregateResult) -> list:
     written = []
     for name in solvers:
         rows = [s for s in result.per_point if s.solver == name]
-        rows.sort(key=lambda s: _sweep_param(s.distortion))
+        rows.sort(key=lambda s: s.distortion.param)
         lines = ["# distortion_param mean_snr_db"]
-        lines += [f"{_fmt(_sweep_param(s.distortion))} {_fmt(s.mean_snr_db)}" for s in rows]
+        lines += [f"{_fmt(s.distortion.param)} {_fmt(s.mean_snr_db)}" for s in rows]
         target = path.with_name(f"{path.stem}_{name}{path.suffix or '.dat'}")
         _atomic_write_text(target, "\n".join(lines) + "\n")
         written.append(target)

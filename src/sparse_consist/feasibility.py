@@ -88,17 +88,6 @@ class IntervalSet:
             )
 
     # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def singleton(cls, x) -> "IntervalSet":
-        """Degenerate set ``{x}``: every sample exactly known."""
-        x = _as_vector(x)
-        if not np.isfinite(x).all():
-            raise ValueError("singleton set requires a finite vector")
-        return cls(x, x)
-
-    # ------------------------------------------------------------------
     # geometry
 
     def project(self, x, out=None) -> np.ndarray:

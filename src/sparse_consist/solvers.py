@@ -9,9 +9,10 @@ where d is the Euclidean distance to the feasibility box C; the baseline
 instead minimizes ||alpha||_1 subject to D alpha in C. ISTA and FISTA share
 one engine so that their iterates are comparable operation for operation,
 and :func:`certificate` scores any answer by the engine's own objective and
-KKT residual. Basis-pursuit denoising is FISTA on the identity's pre-image,
-the singleton set ``{x}``: projecting onto a point returns it exactly, so
-the residual is ``D alpha - x`` to the last bit.
+KKT residual. Basis-pursuit denoising is FISTA on the pre-image of ``x``
+under no distortion, the clipper at infinity, which is the point ``{x}``:
+projecting onto a point returns it exactly, so the residual is
+``D alpha - x`` to the last bit.
 
 The baseline's nested projection, :func:`inner_projection`, and its ridge
 solve, :func:`cho_solve`, are this module's own; the package does not

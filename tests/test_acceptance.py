@@ -100,7 +100,8 @@ def test_02_projection_idempotent_and_non_expansive():
             dspec = DistortionSpec.quantization(int(rng.integers(2, 7)))
             iset = dspec.preimage(dspec.apply(np.clip(rng.standard_normal(n), -0.999, 0.999)))
         else:
-            iset = IntervalSet.singleton(rng.standard_normal(n))
+            point = rng.standard_normal(n)
+            iset = IntervalSet(point, point)
         x = rng.standard_normal(n) * 3
         z = rng.standard_normal(n) * 3
         px, pz = iset.project(x), iset.project(z)

@@ -146,7 +146,7 @@ def test_projection_result_is_feasible(monkeypatch):
 
 def test_projection_raises_when_budget_cannot_reach_the_set(monkeypatch):
     dic = gen_dictionary(60, 6, 10)
-    far = IntervalSet.singleton(np.full(6, 50.0))
+    far = IntervalSet(np.full(6, 50.0), np.full(6, 50.0))
     _inner_budget(monkeypatch, 1, 1e-14)
     with pytest.raises(InnerProjectionError):
         inner_projection(dic, far, np.zeros(10))
@@ -298,7 +298,7 @@ def test_ridge_factor_is_fortran_ordered():
 
 def test_zero_target_returns_zero_coefficients():
     dic = gen_dictionary(65, 6, 10)
-    iset = IntervalSet.singleton(np.zeros(6))
+    iset = IntervalSet(np.zeros(6), np.zeros(6))
     beta, trace = solve_admm_constrained(dic, iset, AdmmConfig(max_iter=200))
     assert float(np.linalg.norm(beta)) == 0.0
     assert trace.converged

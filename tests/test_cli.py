@@ -78,7 +78,7 @@ def test_solve_reads_csv_dictionaries(tmp_path):
     np.savetxt(obs, rng.standard_normal(4))
     rc = main([
         "solve", "--dict", str(path), "--observation", str(obs),
-        "--distortion", "none", "--max-iter", "50",
+        "--distortion", "clip:inf", "--max-iter", "50",
         "--out", str(tmp_path / "r.json"),
     ])
     assert rc == 0
@@ -159,7 +159,7 @@ def test_dimension_mismatch_exits_3(tmp_path):
     np.savetxt(short, np.zeros(8))
     rc = main([
         "solve", "--dict", str(out / "dictionary.bin"),
-        "--observation", str(short), "--distortion", "none",
+        "--observation", str(short), "--distortion", "clip:inf",
         "--out", str(tmp_path / "r.json"),
     ])
     assert rc == 3
@@ -180,7 +180,7 @@ def test_missing_file_exits_2(tmp_path):
     rc = main([
         "solve", "--dict", str(tmp_path / "nope.bin"),
         "--observation", str(tmp_path / "nope.txt"),
-        "--distortion", "none",
+        "--distortion", "clip:inf",
     ])
     assert rc == 2
 
@@ -297,28 +297,47 @@ def test_bench_rejects_bad_grids(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+_OUT_FLAGS = {
+    "bench-out": ["declip-bench", *SMALL, "--trials", "2", "--jobs", "1", "--out"],
+    "bench-plot-data": ["dequant-bench", *SMALL, "--trials", "2", "--jobs", "1", "--plot-data"],
+    "timing-out": ["timing", *SMALL, "--trials", "2", "--jobs", "1", "--out"],
+    "solve-out": ["solve", "--distortion", "clip:inf", "--out"],
+}
+
+
+_OUT_CASES = [(flag, where) for where in ("missing", "directory", "empty") for flag in _OUT_FLAGS]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["declip-bench", "--out"],
-        ["dequant-bench", "--plot-data"],
-        ["timing", "--out"],
-    ],
-    ids=["bench-out", "bench-plot-data", "timing-out"],
+    "flag, where",
+    _OUT_CASES,
+    ids=[flag if where == "missing" else f"{flag}-{where}" for flag, where in _OUT_CASES],
 )
 def test_sweep_refuses_a_missing_output_directory_before_it_runs(
-    tmp_path, monkeypatch, capsys, argv
+    tmp_path, monkeypatch, capsys, flag, where
 ):
+    # an output path in a missing directory, an existing directory, or an
+    # empty path is refused before any solve runs
     def never(*args, **kwargs):
-        raise AssertionError("the sweep ran")
+        raise AssertionError("the command ran")
 
     monkeypatch.setattr("sparse_consist.cli.run_experiment", never)
     monkeypatch.setattr(exps, "run_experiment", never)  # what timing runs
-    missing = str(tmp_path / "nodir" / "x.csv")
-    assert main([*argv, missing, *SMALL, "--trials", "2", "--jobs", "1"]) == 2
+    monkeypatch.setattr("sparse_consist.cli.run_solver", never)
+    inst = _gen(tmp_path)
+    # solve gets a real instance, so that a missed check would reach the solve
+    inputs = ["--dict", str(inst / "dictionary.bin"), "--observation", str(inst / "y.txt")]
+    path = {
+        "missing": str(tmp_path / "nodir" / "x.csv"),
+        "directory": str(inst),
+        "empty": "",
+    }[where]
+    before = sorted(inst.iterdir())
+    assert main([*_OUT_FLAGS[flag], path, *(inputs if flag == "solve-out" else [])]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and missing in err[0]
-    assert list(tmp_path.iterdir()) == []
+    assert len(err) == 1 and err[0].startswith("error: ") and path in err[0]
+    assert [q.name for q in tmp_path.iterdir()] == ["instance"]
+    assert sorted(inst.iterdir()) == before
 
 
 def test_nan_lambda_exits_2(tmp_path):

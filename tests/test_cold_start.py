@@ -18,15 +18,14 @@ STAGES = {
 import numpy as np
 import sparse_consist as sc
 d = sc.Dictionary(np.eye(4, 8) + 0.1)
-sc.solve_fista(d, sc.IntervalSet.singleton(np.full(4, 0.3)), sc.SolverConfig(max_iter=20))
+target = sc.IntervalSet(np.full(4, 0.3), np.full(4, 0.3))
+sc.solve_fista(d, target, sc.SolverConfig(max_iter=20))
 """,
     "gen": """
 d = sc.gen_dictionary(0, 4, 8)
 """,
     "admm": """
-sc.solve_admm_constrained(
-    d, sc.IntervalSet.singleton(np.full(4, 0.3)), sc.AdmmConfig(max_iter=3)
-)
+sc.solve_admm_constrained(d, target, sc.AdmmConfig(max_iter=3))
 """,
 }
 

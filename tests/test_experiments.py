@@ -148,8 +148,14 @@ def test_sparse_signal_contract():
     # every signal of an all-zero dictionary is zero, so no draw can be scaled
     with pytest.raises(ValueError, match="all zeros"):
         gen_sparse_signal(0, Dictionary(np.zeros((4, 8))), 2)
-    with pytest.raises(ValueError, match="k"):
-        gen_sparse_signal(0, dic, True)
+    # the refusals name the caller's argument, not sample_support's
+    for k_sparse, match in (
+        (True, "k_sparse must be an integer, got True"),
+        (0, "k_sparse must be at least 1, got 0"),
+        (49, "k_sparse must be at most m = 48, got 49"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            gen_sparse_signal(0, dic, k_sparse)
 
 
 # ----------------------------------------------------------------------

@@ -203,6 +203,7 @@ def test_fine_quantizer_saturates_only_the_outermost_levels(n_bits):
     st.one_of(
         st.floats(0, 2, exclude_min=True).map(DistortionSpec.clipping),
         st.integers(1, 52).map(DistortionSpec.quantization),
+        st.just(DistortionSpec.identity()),
     ),
     arrays(np.float64, st.integers(1, 12), elements=st.floats(-3, 3, allow_nan=False)),
 )
@@ -221,16 +222,15 @@ def test_preimage_rule_holds_at_every_level_and_bit_depth(spec, x):
                 spec.preimage(np.array([edge]))
 
 
-def test_singleton_is_degenerate():
-    x = np.array([1.0, -2.0])
-    s = IntervalSet.singleton(x)
-    np.testing.assert_array_equal(s.lower, x)
-    np.testing.assert_array_equal(s.upper, x)
-
-
-def test_singleton_rejects_infinite_entries():
-    with pytest.raises(ValueError):
-        IntervalSet.singleton(np.array([1.0, math.inf]))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["clip:0.6", "quant:3", "clip:inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_preimage_names_a_non_finite_sample(text, bad):
+    spec = DistortionSpec.parse(text)
+    y = spec.apply(np.array([0.1, 0.2, 0.3]))
+    y[1] = bad
+    with pytest.raises(ValueError, match=rf"^y\[1\] = {bad!r} is not an output of {text}$"):
+        spec.preimage(y)
 
 
 def test_constructor_validates_bounds():

@@ -1,5 +1,6 @@
 """Dictionary operator, spectral estimation, and the forward distortions."""
 
+import math
 import pickle
 
 import numpy as np
@@ -308,12 +309,17 @@ def test_quantization_spec_fields():
 
 
 def test_identity_spec_round_trips_signal():
+    # no distortion is the clipper at infinity, whose box is the point {x}
     spec = DistortionSpec.identity()
-    x = np.array([0.1, -0.2])
-    np.testing.assert_array_equal(spec.apply(x), x)
-    s = spec.preimage(x)
-    np.testing.assert_array_equal(s.lower, x)
-    np.testing.assert_array_equal(s.upper, x)
+    assert spec == DistortionSpec.clipping(math.inf)
+    assert (spec.label(), spec.task) == ("clip:inf", "declipping")
+    for x in (np.array([0.1, -0.2]), np.array([1.0, -2.0])):
+        np.testing.assert_array_equal(spec.apply(x), x)
+        s = spec.preimage(x)
+        np.testing.assert_array_equal(s.lower, x)
+        np.testing.assert_array_equal(s.upper, x)
+    with pytest.raises(ValueError, match=r"y\[1\] = inf is not an output of clip:inf"):
+        spec.preimage(np.array([1.0, math.inf]))
 
 
 def test_delta_undefined_for_clipping():
@@ -322,8 +328,11 @@ def test_delta_undefined_for_clipping():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         DistortionSpec("clip")
+    for kind, param in (("none", None), ("none", 1.0), ("clip", None), ("quant", None)):
+        with pytest.raises(ValueError):
+            DistortionSpec(kind, param)
     with pytest.raises(ValueError):
         DistortionSpec.clipping(-0.5)
     with pytest.raises(ValueError):
@@ -334,12 +343,12 @@ def test_spec_validation():
 
 
 def test_parse_round_trips():
-    for text in ("clip:0.6", "quant:4", "none"):
+    for text in ("clip:0.6", "quant:4", "clip:inf"):
         assert DistortionSpec.parse(text).label() == text
 
 
 def test_parse_rejects_malformed_descriptors():
-    for text in ("clip", "quant:2.5", "blur:3", "clip:abc", "quant:inf"):
+    for text in ("clip", "quant:2.5", "blur:3", "clip:abc", "quant:inf", "none", "none:1"):
         with pytest.raises(ValueError):
             DistortionSpec.parse(text)
 

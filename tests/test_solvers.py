@@ -87,7 +87,7 @@ def test_objective_is_zero_for_feasible_zero():
 
 def test_objective_singleton_matches_least_squares_form():
     dic, _, x = _clip_instance(21, n=6, m=10)
-    iset = IntervalSet.singleton(x)
+    iset = IntervalSet(x, x)
     rng = np.random.Generator(np.random.PCG64(3))
     alpha = rng.standard_normal(10)
     lam = 0.05
@@ -181,7 +181,8 @@ def test_unconstrained_box_gives_zero_solution():
 
 def test_kkt_residual_at_zero_reports_excess_correlation():
     dic = Dictionary(np.eye(2))
-    iset = IntervalSet.singleton(np.array([3.0, -0.5]))
+    x = np.array([3.0, -0.5])
+    iset = IntervalSet(x, x)
     # gradient at zero is -x, so the violation is max(|x_i| - lam, 0)
     lam = 1.0
     assert certificate(dic, iset, np.zeros(2), lam)[1] == pytest.approx(2.0)
@@ -189,11 +190,11 @@ def test_kkt_residual_at_zero_reports_excess_correlation():
 
 
 def test_kkt_residual_vanishes_at_hand_built_minimizer():
-    # D = I, singleton target x: minimizer is soft_threshold(lam, x)
+    # D = I, point target x: minimizer is soft_threshold(lam, x)
     x = np.array([2.0, -0.2, 0.7])
     lam = 0.5
     dic = Dictionary(np.eye(3))
-    iset = IntervalSet.singleton(x)
+    iset = IntervalSet(x, x)
     alpha_star = soft_threshold(lam, x)
     assert certificate(dic, iset, alpha_star, lam)[1] < 1e-14
 
