@@ -33,7 +33,6 @@ from .experiments import (
     run_solver,
     run_timing_table,
     snr_db,
-    write_plot_data,
     write_results_csv,
     write_timing_csv,
 )

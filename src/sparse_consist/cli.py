@@ -5,7 +5,8 @@ solver on one instance, ``declip-bench`` and ``dequant-bench`` run the sweep
 protocols, and ``timing`` produces the two-task wall-time comparison.
 
 Exit codes: 0 success, 1 solver did not converge under --strict, 2 malformed
-input or flags, 3 dimension mismatch between inputs.
+input or flags, 3 dimension mismatch between inputs, 4 a worker process of
+a sweep's pool died.
 
 A flag whose value fills a field of ``ExperimentSpec``, ``SolverConfig`` or
 ``AdmmConfig`` takes that field's default, except the ``timing`` sweep's
@@ -23,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, WorkerDied
 from .experiments import (
     SIGNAL_SEED_OFFSET,
     SOLVER_NAMES,
@@ -34,7 +35,6 @@ from .experiments import (
     run_experiment,
     run_solver,
     run_timing_table,
-    write_plot_data,
     write_results_csv,
     write_timing_csv,
 )
@@ -181,14 +181,10 @@ def _sweep_spec(args, grid: tuple) -> ExperimentSpec:
 
 def _run_bench(args) -> int:
     _check_out_dir(args.out)
-    _check_out_dir(args.plot_data)
     grid = _parse_grid(args.kind, args.grid)
     result = run_experiment(_sweep_spec(args, grid), jobs=args.jobs)
     write_results_csv(args.out, result, include_times=args.times)
     print(f"wrote {args.out}")
-    if args.plot_data:
-        for path in write_plot_data(args.plot_data, result):
-            print(f"wrote {path}")
     if result.failure_count:
         print(f"warning: {result.failure_count} solver runs failed", file=sys.stderr)
         for s in result.per_point:
@@ -247,8 +243,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser, trials: int, solvers: str) -> N
 
 
 def _add_bench_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--plot-data", default=None, metavar="PATH",
-                   help="also write per-solver (param, SNR) columns using PATH as stem")
     p.add_argument("--times", action="store_true",
                    help="record measured wall times in the CSV instead of NA")
     p.add_argument("--strict", action="store_true",
@@ -323,6 +317,9 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

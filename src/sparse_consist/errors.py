@@ -8,3 +8,8 @@ class DimensionMismatch(ValueError):
 class InnerProjectionError(RuntimeError):
     """The iterative coefficient-space projection failed to reach a usable
     primal residual within its iteration budget."""
+
+
+class WorkerDied(RuntimeError):
+    """A worker process of a sweep's process pool ended before it returned
+    its trials, so the sweep has no result to write."""

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, WorkerDied
 from .feasibility import _as_vector, _count
 from .operators import Dictionary, DistortionSpec
 from .solvers import (
@@ -299,7 +299,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
     it caches (the Lipschitz estimate, the ridge factors) carry over from
     trial to trial within a process. A pool hands it to each worker once,
     through the pool's initializer, so each worker computes those values at
-    most once and the work items stay small.
+    most once and the work items stay small. A pool worker that dies raises
+    :class:`WorkerDied`.
     """
     jobs = _count(jobs, "jobs", 1)
     shared = gen_dictionary(spec.seed, spec.n, spec.m) if spec.shared_dictionary else None
@@ -309,14 +310,18 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
         # imported here, so that a process that runs no pool never loads
         # multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, spec.trials),
-            initializer=_init_worker,
-            initargs=(shared,),
-        ) as pool:
-            work = [(spec, t, None) for t in range(spec.trials)]
-            trial_results = list(pool.map(_trial_worker, work))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, spec.trials),
+                initializer=_init_worker,
+                initargs=(shared,),
+            ) as pool:
+                work = [(spec, t, None) for t in range(spec.trials)]
+                trial_results = list(pool.map(_trial_worker, work))
+        except BrokenProcessPool as exc:
+            raise WorkerDied(f"a worker process of the sweep died: {exc}") from exc
 
     input_means = []
     summaries = []
@@ -436,29 +441,6 @@ def write_results_csv(path, result: AggregateResult, include_times: bool = False
             )
         )
     _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_plot_data(path, result: AggregateResult) -> list:
-    """Two-column (param, mean SNR dB) file per solver, for any plot tool.
-
-    ``path`` acts as a stem: solver names are appended before the suffix.
-    Returns the paths written.
-    """
-    path = Path(path)
-    solvers = []
-    for s in result.per_point:
-        if s.solver not in solvers:
-            solvers.append(s.solver)
-    written = []
-    for name in solvers:
-        rows = [s for s in result.per_point if s.solver == name]
-        rows.sort(key=lambda s: s.distortion.param)
-        lines = ["# distortion_param mean_snr_db"]
-        lines += [f"{_fmt(s.distortion.param)} {_fmt(s.mean_snr_db)}" for s in rows]
-        target = path.with_name(f"{path.stem}_{name}{path.suffix or '.dat'}")
-        _atomic_write_text(target, "\n".join(lines) + "\n")
-        written.append(target)
-    return written
 
 
 def write_timing_csv(path, rows) -> None:

@@ -404,7 +404,6 @@ def solve_admm_constrained(
         try:
             beta = inner_projection(dictionary, iset, alpha + v)
         except InnerProjectionError:
-            beta = beta_prev
             stop_reason = "inner_stall"
             break
         v = v + alpha - beta

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -222,20 +224,24 @@ def test_declip_bench_csv_layout(tmp_path):
     assert {line.split(",")[1] for line in lines[1:]} == {"ista", "fista"}
 
 
-def test_dequant_bench_with_solver_subset_and_plot_data(tmp_path):
+def test_dequant_bench_with_solver_subset(tmp_path):
     out = tmp_path / "bench.csv"
-    rc = main([
+    argv = [
         "dequant-bench", *SMALL,
         "--trials", "2", "--grid", "3,4", "--solvers", "fista",
-        "--max-iter", "30", "--jobs", "1",
-        "--plot-data", str(tmp_path / "sweep.dat"),
-        "--out", str(out),
-    ])
-    assert rc == 0
+        "--max-iter", "30", "--jobs", "1", "--out", str(out),
+    ]
+    assert main(argv) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2
     assert all(line.split(",")[0] == "dequantization" for line in lines[1:])
-    assert (tmp_path / "sweep_fista.dat").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["bench.csv"]
+    # the CSV is a sweep's one results file: there is no --plot-data
+    out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--plot-data", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_times_flag_records_floats(tmp_path):
@@ -271,6 +277,26 @@ def test_bench_prints_the_failure_reasons_of_each_failing_cell(tmp_path, monkeyp
         ]
 
 
+def _die(*args, **kwargs):
+    os._exit(1)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched module reaches pool workers only when they are forked",
+)
+def test_a_dead_pool_worker_exits_4(tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(exps, "gen_sparse_signal", _die)
+    out = tmp_path / "b.csv"
+    argv = ["declip-bench", *SMALL, "--trials", "3", "--jobs", "2", "--out", str(out)]
+    assert main(argv) == 4
+    captured = capfd.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_rejects_bad_grids(tmp_path, capsys):
     assert main(["declip-bench", *SMALL, "--grid", "0.0",
                  "--out", str(tmp_path / "b.csv")]) == 2
@@ -299,7 +325,6 @@ def test_bench_rejects_bad_grids(tmp_path, capsys):
 
 _OUT_FLAGS = {
     "bench-out": ["declip-bench", *SMALL, "--trials", "2", "--jobs", "1", "--out"],
-    "bench-plot-data": ["dequant-bench", *SMALL, "--trials", "2", "--jobs", "1", "--plot-data"],
     "timing-out": ["timing", *SMALL, "--trials", "2", "--jobs", "1", "--out"],
     "solve-out": ["solve", "--distortion", "clip:inf", "--out"],
 }

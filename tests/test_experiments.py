@@ -26,7 +26,6 @@ from sparse_consist import (
     run_experiment,
     run_timing_table,
     snr_db,
-    write_plot_data,
     write_results_csv,
     write_timing_csv,
 )
@@ -505,18 +504,6 @@ def test_results_csv_can_include_times(tmp_path):
     write_results_csv(path, result, include_times=True)
     for line in path.read_text().splitlines()[1:]:
         assert float(line.split(",")[6]) > 0.0
-
-
-def test_plot_data_files(tmp_path):
-    result = run_experiment(_small_spec())
-    written = write_plot_data(tmp_path / "sweep.dat", result)
-    assert [p.name for p in written] == ["sweep_ista.dat", "sweep_fista.dat"]
-    for path in written:
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
-        params = [float(line.split()[0]) for line in lines[1:]]
-        assert params == sorted(params)
-        assert len(params) == 2
 
 
 def test_timing_csv_layout(tmp_path):

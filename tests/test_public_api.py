@@ -38,7 +38,6 @@ EXPORTED = {
     "run_solver",
     "run_timing_table",
     "snr_db",
-    "write_plot_data",
     "write_results_csv",
     "write_timing_csv",
 }

@@ -1,4 +1,5 @@
-"""README's command-line examples parse with the CLI's own parsers."""
+"""README's command-line examples parse with the CLI's own parsers, and it
+lists the exit codes the ``cli`` module documents."""
 
 import re
 import shlex
@@ -30,3 +31,18 @@ def test_readme_commands_parse():
         if args.command == "timing":
             cli._parse_grid("clip", args.clip_grid)
             cli._parse_grid("quant", args.quant_grid)
+
+
+def _exit_codes(text: str) -> list:
+    """The codes of the ``Exit codes:`` sentence in text, in order: the
+    number that starts each comma-separated entry, with parenthesized
+    remarks dropped."""
+    sentence = re.search(r"Exit codes:(.*?)\.(?:\s|$)", text, re.S).group(1)
+    sentence = re.sub(r"\([^)]*\)", "", sentence)
+    return [int(entry.split()[0]) for entry in sentence.split(",")]
+
+
+def test_readme_and_cli_list_the_same_exit_codes():
+    codes = _exit_codes(README.read_text())
+    assert codes == _exit_codes(cli.__doc__)
+    assert codes == sorted(set(codes))
