@@ -38,7 +38,7 @@ from .experiments import (
     write_results_csv,
     write_timing_csv,
 )
-from .operators import Dictionary, DistortionSpec
+from .operators import Dictionary, DistortionSpec, _load_text
 from .solvers import AdmmConfig, SolverConfig, SolverTrace
 
 # The sweep subcommands: (name, distortion kind, default grid, grid help,
@@ -49,19 +49,6 @@ _BENCHES = (
     ("dequant-bench", "quant", "2,3,4,5,6", "comma list of bit depths",
      "dequant_bench.csv", "quantization sweep over a grid of bit depths"),
 )
-
-
-def _load_dictionary(path: str) -> Dictionary:
-    if path.endswith(".csv"):
-        return Dictionary.from_csv(path)
-    return Dictionary.load(path)
-
-
-def _load_vector(path: str) -> np.ndarray:
-    vec = np.loadtxt(path, ndmin=1)
-    if vec.ndim != 1:
-        raise ValueError(f"{path}: expected a single column of numbers")
-    return vec
 
 
 def _parse_grid(kind: str, text: str) -> tuple:
@@ -117,6 +104,8 @@ def result_to_json_obj(alpha: np.ndarray, trace: SolverTrace) -> dict:
 
 def cmd_gen(args) -> int:
     out = args.out
+    if not out or (os.path.lexists(out) and not os.path.isdir(out)):
+        raise ValueError(f"{out!r} is not a path for the instance directory")
     dspec = DistortionSpec.parse(args.distortion)
     dictionary = gen_dictionary(args.seed, args.n, args.m)
     alpha, x = gen_sparse_signal(args.seed + SIGNAL_SEED_OFFSET, dictionary, args.k_sparse)
@@ -147,8 +136,11 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     _check_out_dir(args.out)
-    dictionary = _load_dictionary(args.dict)
-    y = _load_vector(args.observation)
+    load = Dictionary.from_csv if args.dict.endswith(".csv") else Dictionary.load
+    dictionary = load(args.dict)
+    y = _load_text(args.observation, ndmin=1)
+    if y.ndim != 1:
+        raise ValueError(f"{args.observation}: expected a single column of numbers")
     dspec = DistortionSpec.parse(args.distortion)
     iset = dspec.preimage(y)
     coeffs, trace = run_solver(args.solver, dictionary, iset, *_solver_configs(args))
@@ -179,21 +171,29 @@ def _sweep_spec(args, grid: tuple) -> ExperimentSpec:
     )
 
 
+def _warn_failures(cells) -> int:
+    """Print the failed solver runs of ``cells``, pairs of a label and its
+    ``(reason, count)`` pairs, to standard error, and return their number."""
+    cells = [(label, reasons) for label, reasons in cells if reasons]
+    failed = sum(count for _, reasons in cells for _, count in reasons)
+    if failed:
+        print(f"warning: {failed} solver runs failed", file=sys.stderr)
+    for label, reasons in cells:
+        listed = ", ".join(f"{reason} x{count}" for reason, count in reasons)
+        print(f"  {label}: {listed}", file=sys.stderr)
+    return failed
+
+
 def _run_bench(args) -> int:
     _check_out_dir(args.out)
     grid = _parse_grid(args.kind, args.grid)
     result = run_experiment(_sweep_spec(args, grid), jobs=args.jobs)
     write_results_csv(args.out, result, include_times=args.times)
     print(f"wrote {args.out}")
-    if result.failure_count:
-        print(f"warning: {result.failure_count} solver runs failed", file=sys.stderr)
-        for s in result.per_point:
-            if s.failures:
-                reasons = ", ".join(f"{reason} x{count}" for reason, count in s.failure_reasons)
-                print(f"  {s.distortion.label()} {s.solver}: {reasons}", file=sys.stderr)
-        if args.strict:
-            return 1
-    return 0
+    failed = _warn_failures(
+        (f"{s.distortion.label()} {s.solver}", s.failure_reasons) for s in result.per_point
+    )
+    return 1 if failed and args.strict else 0
 
 
 def cmd_timing(args) -> int:
@@ -210,6 +210,7 @@ def cmd_timing(args) -> int:
     print(f"wrote {args.out}")
     for r in rows:
         print(f"{r.task:>14}  {r.solver:>5}  mean {r.mean_wall_time_s:.4f} s")
+    _warn_failures((f"{r.task} {r.solver}", r.failure_reasons) for r in rows)
     return 0
 
 
@@ -240,13 +241,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser, trials: int, solvers: str) -> N
                    help="worker processes for trials")
     p.add_argument("--shared-dictionary", action="store_true",
                    help="reuse one dictionary across all trials instead of one per trial")
-
-
-def _add_bench_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--times", action="store_true",
-                   help="record measured wall times in the CSV instead of NA")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 if any solver run fails")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_solver_flags(p)
         _add_sweep_flags(p, trials=ExperimentSpec.trials,
                          solvers=",".join(ExperimentSpec.solvers))
-        _add_bench_output_flags(p)
+        p.add_argument("--times", action="store_true",
+                       help="record measured wall times in the CSV instead of NA")
+        p.add_argument("--strict", action="store_true", help="exit 1 if any solver run fails")
         p.add_argument("--grid", default=grid, help=grid_help)
         p.add_argument("--out", default=out, help="results CSV path")
         p.set_defaults(func=_run_bench, kind=kind)

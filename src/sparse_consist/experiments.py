@@ -214,10 +214,6 @@ class AggregateResult:
     per_point: tuple
     trials: int
 
-    @property
-    def failure_count(self) -> int:
-        return sum(s.failures for s in self.per_point)
-
 
 def run_solver(name, dictionary, iset, solver_config, admm_config):
     """Run the solver called ``name`` (one of ``SOLVER_NAMES``): ``ista``
@@ -359,10 +355,14 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> AggregateResult:
 
 @dataclass(frozen=True)
 class TimingRow:
+    """One solver's wall times on one task, and its cells' failure reasons
+    summed in ``PointSummary.failure_reasons``'s form."""
+
     task: str
     solver: str
     mean_wall_time_s: float
     total_wall_time_s: float
+    failure_reasons: tuple
 
 
 def run_timing_table(
@@ -389,7 +389,8 @@ def run_timing_table(
             runs = [base.trials - s.failures for s in cells]
             total = sum(s.mean_wall_time_s * r for s, r in zip(cells, runs) if r)
             mean = total / sum(runs) if any(runs) else float("nan")
-            rows.append(TimingRow(task, name, mean, total))
+            reasons = sum((Counter(dict(s.failure_reasons)) for s in cells), Counter())
+            rows.append(TimingRow(task, name, mean, total, tuple(sorted(reasons.items()))))
     return rows
 
 
@@ -420,33 +421,24 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Write a table atomically: the header line, then each row's fields
+    joined by commas, one line per row."""
+    _atomic_write_text(path, "\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+
+
 def write_results_csv(path, result: AggregateResult, include_times: bool = False) -> None:
     """Emit the sweep CSV. Wall times are measurements, so by default the
     time column holds NA to keep repeated runs byte-identical; pass
     ``include_times=True`` to record them."""
-    lines = [CSV_HEADER]
+    rows = []
     for s in result.per_point:
-        time_field = _fmt(s.mean_wall_time_s) if include_times else "NA"
-        lines.append(
-            ",".join(
-                [
-                    s.distortion.task,
-                    s.solver,
-                    _fmt(s.distortion.param),
-                    _fmt(s.mean_snr_db),
-                    _fmt(s.std_snr_db),
-                    _fmt(s.mean_iterations),
-                    time_field,
-                ]
-            )
-        )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+        numbers = (s.distortion.param, s.mean_snr_db, s.std_snr_db, s.mean_iterations)
+        time = _fmt(s.mean_wall_time_s) if include_times else "NA"
+        rows.append([s.distortion.task, s.solver, *map(_fmt, numbers), time])
+    _write_csv(path, CSV_HEADER, rows)
 
 
 def write_timing_csv(path, rows) -> None:
-    lines = ["task,solver,mean_wall_time_s,total_wall_time_s"]
-    for r in rows:
-        lines.append(
-            ",".join([r.task, r.solver, _fmt(r.mean_wall_time_s), _fmt(r.total_wall_time_s)])
-        )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    fields = ([r.task, r.solver, _fmt(r.mean_wall_time_s), _fmt(r.total_wall_time_s)] for r in rows)
+    _write_csv(path, "task,solver,mean_wall_time_s,total_wall_time_s", fields)

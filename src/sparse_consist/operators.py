@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -290,8 +291,18 @@ class Dictionary:
     @classmethod
     def from_csv(cls, path) -> "Dictionary":
         """Import a matrix from comma-separated text, one row per line."""
-        mat = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls(mat)
+        return cls(_load_text(path, delimiter=",", ndmin=2))
+
+
+def _load_text(path, **kwargs) -> np.ndarray:
+    """``np.loadtxt(path, **kwargs)``, refusing a file that holds no numbers
+    as malformed input instead of warning and returning an empty array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        values = np.loadtxt(path, **kwargs)
+    if values.size == 0:
+        raise ValueError(f"{path}: holds no numbers")
+    return values
 
 
 # The task name each distortion kind poses, keyed by the kind's CLI spelling.

@@ -51,11 +51,6 @@ def soft_threshold(rho: float, v: np.ndarray) -> np.ndarray:
     return np.copysign(np.maximum(np.abs(v) - rho, 0.0), v)
 
 
-def momentum_next(t: float) -> float:
-    """Next extrapolation weight in the accelerated scheme."""
-    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-
-
 def certificate(dictionary: Dictionary, iset: IntervalSet, alpha, lam: float):
     """``(objective, kkt_residual)`` of ``alpha``.
 
@@ -63,6 +58,8 @@ def certificate(dictionary: Dictionary, iset: IntervalSet, alpha, lam: float):
     residual is the worst violation of the first-order optimality conditions
     (on the support the smooth gradient must cancel ``lam * sign(alpha)``,
     off it its magnitude must not exceed lam), zero at an exact minimizer.
+    A gradient that is not finite gives a residual that is not finite: NaN
+    where the gradient or alpha has a NaN entry, infinity otherwise.
     It uses the engine's arithmetic, so on an answer of :func:`solve_ista`
     or :func:`solve_fista` it equals ``(trace.objective_per_iter[-1],
     trace.kkt_residual_final)`` bit for bit.
@@ -74,14 +71,10 @@ def certificate(dictionary: Dictionary, iset: IntervalSet, alpha, lam: float):
 
 
 def _kkt_from_gradient(grad: np.ndarray, alpha: np.ndarray, lam: float) -> float:
-    on = alpha != 0.0
-    worst = 0.0
-    if on.any():
-        worst = float(np.max(np.abs(grad[on] + lam * np.sign(alpha[on]))))
-    off = ~on
-    if off.any():
-        worst = max(worst, float(np.max(np.maximum(np.abs(grad[off]) - lam, 0.0))))
-    return worst
+    violation = np.where(
+        alpha != 0.0, np.abs(grad + lam * np.sign(alpha)), np.maximum(np.abs(grad) - lam, 0.0)
+    )
+    return float(np.max(violation))
 
 
 @dataclass(frozen=True)
@@ -246,7 +239,7 @@ def _fista_engine(
         objectives.append(obj)
 
         if momentum:
-            t_next = momentum_next(t)
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             w = (t - 1.0) / t_next
             np.subtract(nxt, cur, out=ext)
             ext *= w

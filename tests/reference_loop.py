@@ -4,6 +4,8 @@ engine must match bit for bit.
 It shares no code with the package: fresh arrays every iteration, two
 residuals per iteration, a separate l1 pass and its own t-sequence. A change
 to the bits of any solve, including the denoiser's, shows as a mismatch.
+:func:`kkt_residual` scores the final gradient entry by entry, apart from
+the package's optimality check.
 """
 
 import math
@@ -52,6 +54,18 @@ def reference_loop(matrix, residual, config, step, momentum):
         else:
             flat_streak = 0
     return alpha, np.asarray(objectives), matrix.T @ residual(z_alpha)
+
+
+def kkt_residual(grad, alpha, lam):
+    """The worst violation of the first-order optimality conditions, one
+    entry at a time in Python floats: ``|g + lam sign(a)|`` on the support,
+    ``max(|g| - lam, 0)`` off it. A NaN entry of either makes it NaN."""
+    worst = 0.0
+    for g, a in zip(grad.tolist(), alpha.tolist()):
+        if math.isnan(g) or math.isnan(a):
+            return math.nan
+        worst = max(worst, abs(g + math.copysign(lam, a)) if a != 0.0 else max(abs(g) - lam, 0.0))
+    return worst
 
 
 def box_residual(iset):

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 from scipy.stats import ortho_group
 
 from sparse_consist import (
@@ -108,8 +108,8 @@ def test_projection_with_orthogonal_dictionary_matches_closed_form(monkeypatch):
         np.testing.assert_allclose(out, expected, atol=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
 def test_projection_matches_quadratic_program_oracle(monkeypatch):
-    cp = pytest.importorskip("cvxpy")
     _inner_budget(monkeypatch, 5000, 1e-13)
     for seed in range(5):
         dic = gen_dictionary(200 + seed, 4, 6)
@@ -122,16 +122,22 @@ def test_projection_matches_quadratic_program_oracle(monkeypatch):
 
         beta = inner_projection(dic, iset, u)
 
-        b = cp.Variable(6)
-        img = dic.matrix @ b
-        constraints = []
-        for i in range(4):
-            if np.isfinite(iset.lower[i]):
-                constraints.append(img[i] >= iset.lower[i])
-            if np.isfinite(iset.upper[i]):
-                constraints.append(img[i] <= iset.upper[i])
-        cp.Problem(cp.Minimize(cp.sum_squares(b - u)), constraints).solve()
-        np.testing.assert_allclose(beta, b.value, atol=1e-6)
+        # min ||b - u||^2 over D b in the box: the point rows are equalities
+        # and the finite faces of the others inequalities
+        D, lo, hi = dic.matrix, iset.lower, iset.upper
+        point = lo == hi
+        has_lo, has_hi = np.isfinite(lo) & ~point, np.isfinite(hi) & ~point
+        rows = [("eq", point, D, lo), ("ineq", has_lo, D, lo), ("ineq", has_hi, -D, -hi)]
+        constraints = [
+            {"type": kind, "fun": lambda b, A=A[mask], c=c[mask]: A @ b - c,
+             "jac": lambda b, A=A[mask]: A}
+            for kind, mask, A, c in rows
+            if mask.any()
+        ]
+        res = minimize(lambda b: float((b - u) @ (b - u)), u, jac=lambda b: 2.0 * (b - u),
+                       method="SLSQP", constraints=constraints, options={"ftol": 1e-14})
+        assert res.success, res.message
+        np.testing.assert_allclose(beta, res.x, atol=1e-6)
 
 
 def test_projection_result_is_feasible(monkeypatch):

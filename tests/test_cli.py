@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -206,6 +207,24 @@ def test_negative_seed_exits_2_before_gen_writes_anything(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["empty", "file"])
+def test_gen_refuses_an_output_path_that_is_not_a_directory_before_it_draws(
+    tmp_path, monkeypatch, capsys, where
+):
+    def never(*args, **kwargs):
+        raise AssertionError("gen drew an instance")
+
+    monkeypatch.setattr("sparse_consist.cli.gen_dictionary", never)
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    path = {"empty": "", "file": str(existing)}[where]
+    assert main(["gen", *SMALL, "--out", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(path) in err[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert existing.read_text() == "kept\n"
+
+
 # ----------------------------------------------------------------------
 # benchmark subcommands
 
@@ -385,6 +404,27 @@ def test_timing_table_csv(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == [
         "declipping", "declipping", "dequantization", "dequantization",
     ]
+
+
+def test_timing_prints_the_failure_reasons_of_each_failing_row(tmp_path, monkeypatch, capsys):
+    original = exps.solve_fista
+    calls = itertools.count(1)
+
+    def fista_fails_on_odd_calls(*args):
+        if next(calls) % 2:
+            raise RuntimeError("forced failure")
+        return original(*args)
+
+    # per trial fista runs on clip 0.6, then on quant 4: every clip solve fails
+    monkeypatch.setattr(exps, "solve_fista", fista_fails_on_odd_calls)
+    out = tmp_path / "timing.csv"
+    assert main(["timing", *SMALL, "--trials", "4", "--jobs", "1", "--solvers", "ista,fista",
+                 "--max-iter", "30", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: 4 solver runs failed",
+        "  declipping fista: RuntimeError x4",
+    ]
+    assert out.read_text().splitlines()[2] == "declipping,fista,nan,0.0"
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from sparse_consist import (
 from sparse_consist.operators import _aligned_empty
 from sparse_consist.solvers import _kkt_from_gradient
 
-from reference_loop import box_residual, reference_loop
+from reference_loop import box_residual, kkt_residual, reference_loop
 from test_robustness import boxes, dictionaries
 
 PROTOCOL = dict(n=256, m=512, k_sparse=16)
@@ -44,7 +44,22 @@ def _assert_same_run(got, ref, lam):
     assert np.array_equal(alpha, ref_alpha)
     assert trace.iterations_run == len(ref_objectives)
     # the final optimality check reuses the last residual, not a fresh one
-    assert trace.kkt_residual_final == _kkt_from_gradient(ref_grad, ref_alpha, lam)
+    assert trace.kkt_residual_final == kkt_residual(ref_grad, ref_alpha, lam)
+
+
+@pytest.mark.parametrize(
+    "grad, alpha",
+    [
+        ([np.nan], [0.0]),  # off the support, with nothing on it
+        ([np.nan, 0.5], [0.0, 1.0]),  # off the support, beside a finite violation
+        ([0.5, np.nan], [0.0, 1.0]),  # on the support
+        ([0.5, 0.5], [0.0, np.nan]),  # a NaN coefficient
+    ],
+)
+def test_a_nan_entry_makes_the_kkt_residual_nan(grad, alpha):
+    grad, alpha = np.array(grad), np.array(alpha)
+    assert math.isnan(_kkt_from_gradient(grad, alpha, 0.1))
+    assert math.isnan(kkt_residual(grad, alpha, 0.1))
 
 
 @pytest.mark.parametrize("label", ["clip:0.6", "quant:4"])

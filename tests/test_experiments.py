@@ -244,7 +244,7 @@ def test_sweep_is_deterministic_and_ordered():
     ]
     assert a.trials == 3
     assert len(a.input_snr_db) == 2
-    assert a.failure_count == 0
+    assert sum(s.failures for s in a.per_point) == 0
     for s in a.per_point:
         assert math.isfinite(s.mean_snr_db)
         assert s.std_snr_db >= 0.0
@@ -374,7 +374,7 @@ def test_inner_stall_counts_as_a_success(monkeypatch):
     )
     result = run_experiment(spec)
     assert reasons == ["inner_stall"]
-    assert result.failure_count == 0
+    assert sum(s.failures for s in result.per_point) == 0
     assert result.per_point[0].failure_reasons == ()
 
 
@@ -384,7 +384,7 @@ def test_failed_solver_runs_are_counted_not_raised(monkeypatch):
 
     monkeypatch.setattr(exps, "run_solver", explode)
     result = run_experiment(_small_spec(), jobs=1)
-    assert result.failure_count == 3 * 2 * 2  # trials x points x solvers
+    assert sum(s.failures for s in result.per_point) == 3 * 2 * 2  # trials x points x solvers
     for s in result.per_point:
         assert s.failures == 3
         assert s.failure_reasons == (("RuntimeError", 3),)
@@ -403,7 +403,7 @@ def test_diverged_solves_are_counted_as_failures(monkeypatch):
         solver_config=SolverConfig(max_iter=400),
     )
     result = run_experiment(spec, jobs=1)
-    assert result.failure_count == spec.trials * len(spec.solvers)
+    assert sum(s.failures for s in result.per_point) == spec.trials * len(spec.solvers)
     for s in result.per_point:
         assert s.failures == spec.trials
         assert s.failure_reasons == (("non_finite", spec.trials),)
@@ -465,6 +465,25 @@ def test_timing_table_builds_each_trial_instance_once(monkeypatch):
         "power_iteration_gram": 2,
         "cho_factor": 2,
     }
+
+
+def test_timing_rows_sum_the_failure_reasons_of_their_cells(monkeypatch):
+    calls = Counter()
+
+    def fista_fails(*args):
+        calls["fista"] += 1
+        raise (RuntimeError if calls["fista"] % 2 else FloatingPointError)("forced failure")
+
+    monkeypatch.setattr(exps, "solve_fista", fista_fails)
+    # per trial the fista calls run clip 0.4, clip 0.6, quant 3
+    rows = run_timing_table(_small_spec(trials=2), clip_thetas=(0.4, 0.6), quant_bits=(3,))
+    assert [(r.task, r.solver, r.failure_reasons) for r in rows] == [
+        ("declipping", "ista", ()),
+        ("declipping", "fista", (("FloatingPointError", 2), ("RuntimeError", 2))),
+        ("dequantization", "ista", ()),
+        ("dequantization", "fista", (("FloatingPointError", 1), ("RuntimeError", 1))),
+    ]
+    assert math.isnan(rows[1].mean_wall_time_s)
 
 
 def test_timing_table_with_one_task_grid_empty():

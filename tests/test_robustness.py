@@ -183,6 +183,21 @@ def _assert_one_error_line(rc, err):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n\n", "# a comment and no numbers\n"])
+def test_input_files_without_numbers_exit_2_with_one_error_line(instance, tmp_path, text):
+    good = {"--dict": instance / "dictionary.bin", "--observation": instance / "y.txt"}
+    for flag, name in (("--observation", "y.txt"), ("--dict", "d.csv")):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["solve", "--distortion", "clip:inf", "--out", str(tmp_path / "r.json")]
+        argv += [str(a) for pair in {**good, flag: path}.items() for a in pair]
+        rc, err = _run_cli(argv)
+        _assert_one_error_line(rc, err)
+        assert str(path) in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @given(bad_descriptors())
 @example("--")  # argparse stores an empty list for --distortion=--
 @settings(max_examples=60, deadline=None)

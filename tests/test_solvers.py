@@ -23,7 +23,6 @@ from sparse_consist import (
     solve_ista,
 )
 from sparse_consist.cli import result_to_json_obj
-from sparse_consist.solvers import momentum_next
 
 
 def _clip_instance(seed, n=12, m=24, k=3, theta=0.5):
@@ -41,7 +40,7 @@ def _one_ista_step(dic, iset, lam):
 
 
 # ----------------------------------------------------------------------
-# proximal map and momentum sequence
+# proximal map
 
 
 def test_soft_threshold_examples():
@@ -64,15 +63,6 @@ def test_soft_threshold_is_shrinkage():
     out = soft_threshold(0.2, v)
     assert (np.abs(out) <= np.abs(v)).all()
     assert (np.sign(out) * np.sign(v) >= 0).all()
-
-
-def test_momentum_sequence_first_terms():
-    t2 = momentum_next(1.0)
-    assert t2 == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-15)
-    t3 = momentum_next(t2)
-    # 4 t2^2 = (1 + sqrt 5)^2 = 6 + 2 sqrt 5
-    assert t3 == pytest.approx((1 + math.sqrt(7 + 2 * math.sqrt(5))) / 2, rel=1e-15)
-    assert t3 > t2 > 1.0
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +187,17 @@ def test_kkt_residual_vanishes_at_hand_built_minimizer():
     iset = IntervalSet(x, x)
     alpha_star = soft_threshold(lam, x)
     assert certificate(dic, iset, alpha_star, lam)[1] < 1e-14
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kkt_residual_of_a_nan_gradient_off_the_support_is_nan():
+    # D alpha overflows to inf, and the zero entry of D's second column
+    # turns it into a NaN gradient entry where alpha is zero
+    dic = Dictionary(np.array([[1e308, 0.0]]))
+    iset = IntervalSet(np.array([-1.0]), np.array([1.0]))
+    obj, kkt = certificate(dic, iset, np.array([10.0, 0.0]), 0.1)
+    assert obj == math.inf
+    assert math.isnan(kkt)
 
 
 def test_tighter_tolerance_never_worsens_kkt_residual():
