@@ -104,7 +104,12 @@ def result_to_json_obj(alpha: np.ndarray, trace: SolverTrace) -> dict:
 
 def cmd_gen(args) -> int:
     out = args.out
-    if not out or (os.path.lexists(out) and not os.path.isdir(out)):
+    # the nearest existing ancestor of out, out itself included, must be a
+    # directory, or makedirs would fail after the whole instance is drawn
+    ancestor = out
+    while ancestor and not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not out or not os.path.isdir(ancestor or "."):
         raise ValueError(f"{out!r} is not a path for the instance directory")
     dspec = DistortionSpec.parse(args.distortion)
     dictionary = gen_dictionary(args.seed, args.n, args.m)

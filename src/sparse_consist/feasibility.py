@@ -81,12 +81,6 @@ class IntervalSet:
     def __len__(self) -> int:
         return self.lower.shape[0]
 
-    def _check_length(self, x: np.ndarray) -> None:
-        if x.shape[0] != len(self):
-            raise DimensionMismatch(
-                f"vector of length {x.shape[0]} does not match set of length {len(self)}"
-            )
-
     # ------------------------------------------------------------------
     # geometry
 
@@ -94,7 +88,10 @@ class IntervalSet:
         """Euclidean projection onto the set: an element-wise clamp, written
         into ``out`` when it is given (``out`` may be ``x`` itself)."""
         x = _as_vector(x)
-        self._check_length(x)
+        if x.shape[0] != len(self):
+            raise DimensionMismatch(
+                f"vector of length {x.shape[0]} does not match set of length {len(self)}"
+            )
         return np.minimum(self.upper, np.maximum(self.lower, x, out=out), out=out)
 
     def grad_half_distance_sq(self, x, out=None) -> np.ndarray:

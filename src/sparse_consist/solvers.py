@@ -37,6 +37,10 @@ from .operators import Dictionary, _aligned_empty
 # objectives at or near zero do not stall the stopping rule.
 _REL_CHANGE_FLOOR = 1e-12
 
+# A flat stop of the proximal solvers reads ``converged`` only when its final
+# KKT residual is at most this; otherwise it reads ``stalled``.
+_CONVERGED_KKT = 1e-5
+
 # The constrained baseline's fixed settings: the nested projection's round
 # budget and primal-residual tolerance, and the tolerances of the combined
 # stopping test on the outer residuals.
@@ -109,11 +113,12 @@ class SolverTrace:
     objective is not recorded. ``wall_time_seconds`` times the iteration
     loop, not its setup (the Lipschitz estimate or the ridge factor).
 
-    ``stop_reason`` says why the run ended: ``converged``, ``max_iter``
-    (budget spent), ``non_finite`` (the proximal solvers' objective
-    overflowed or turned NaN; the run stops at that iterate) or
-    ``inner_stall`` (the constrained baseline's nested projection missed its
-    tolerance; the run returns its best point so far).
+    ``stop_reason`` says why the run ended: ``converged``, ``stalled`` (a
+    proximal solver's objective went flat with a final KKT residual above
+    ``_CONVERGED_KKT``), ``max_iter`` (budget spent), ``non_finite`` (the
+    proximal solvers' objective overflowed or turned NaN; the run stops at
+    that iterate) or ``inner_stall`` (the constrained baseline's nested
+    projection missed its tolerance; the run returns its best point so far).
     """
 
     objective_per_iter: np.ndarray
@@ -185,11 +190,14 @@ def _fista_engine(
     starting on a 64-byte boundary so that BLAS reads them at full speed.
 
     The relative objective-change test must pass on two consecutive
-    iterations before the run is declared converged. With momentum the
-    objective ripples, and a single near-flat step is routinely just the
-    crest of a ripple far from stationarity; two in a row is a stall. A
+    iterations before the run stops. With momentum the objective ripples,
+    and a single near-flat step is routinely just the crest of a ripple far
+    from stationarity; two in a row is a stall. Even so a stall can sit far
+    from the minimizer, so it reads ``converged`` only if the final KKT
+    residual is at most ``_CONVERGED_KKT``, and ``stalled`` otherwise. A
     non-finite objective stops the run at once and its iterate is returned.
     """
+    _check_set_length(dictionary, iset)
     lam = config.lam
     step = 1.0 / dictionary.estimate_lipschitz()
     thresh = step * lam
@@ -199,20 +207,19 @@ def _fista_engine(
     # A state vector holds an iterate and its image, [alpha | 0 | D alpha],
     # so one extrapolation updates both. The zero pad rounds the iterate up
     # to a whole number of cache lines, so the image is aligned too; it
-    # stays zero through every extrapolation. The next state and residual
+    # stays zero through every extrapolation. The zero start's image and l1
+    # norm are zero, so neither is computed. The next state and residual
     # swap with the current ones each iteration; g holds the gradient, mag
     # the magnitudes of the shrunk iterate.
     m_pad = -(-m // 8) * 8
     cur, nxt = _aligned_empty(m_pad + n), _aligned_empty(m_pad + n)
-    cur[m:m_pad] = nxt[m:m_pad] = 0.0
+    cur[:] = nxt[m:m_pad] = 0.0
     alpha, z = cur[:m], cur[m_pad:]
     alpha_next, z_next = nxt[:m], nxt[m_pad:]
-    alpha[:] = 0.0
-    dictionary.synthesize(alpha, out=z)
     r, r_next = _aligned_empty(n), _aligned_empty(n)
     iset.grad_half_distance_sq(z, out=r)
     g, mag = _aligned_empty(m), _aligned_empty(m)
-    obj = 0.5 * float(r @ r) + lam * float(np.abs(alpha).sum())
+    obj = 0.5 * float(r @ r)
     if momentum:
         ext = _aligned_empty(m_pad + n)
         ext[:] = cur
@@ -258,17 +265,19 @@ def _fista_engine(
         if abs(obj - obj_prev) / max(obj_prev, _REL_CHANGE_FLOOR) < config.rel_tol:
             flat_streak += 1
             if flat_streak >= 2:
-                stop_reason = "converged"
+                stop_reason = "stalled"
                 break
         else:
             flat_streak = 0
 
     wall = perf_counter() - t_start
-    final_grad = dictionary.correlate(r, out=g)
+    kkt = _kkt_from_gradient(dictionary.correlate(r, out=g), alpha, lam)
+    if stop_reason == "stalled" and kkt <= _CONVERGED_KKT:
+        stop_reason = "converged"
     trace = SolverTrace(
         objective_per_iter=np.asarray(objectives),
         wall_time_seconds=wall,
-        kkt_residual_final=_kkt_from_gradient(final_grad, alpha, lam),
+        kkt_residual_final=kkt,
         stop_reason=stop_reason,
     )
     return alpha.copy(), trace
@@ -281,7 +290,6 @@ def solve_ista(
 ):
     """Plain forward-backward iteration; monotone in the objective at its
     step 1/L."""
-    _check_set_length(dictionary, iset)
     return _fista_engine(dictionary, iset, config, momentum=False)
 
 
@@ -291,7 +299,6 @@ def solve_fista(
     config: SolverConfig = SolverConfig(),
 ):
     """Accelerated forward-backward iteration with the standard t-sequence."""
-    _check_set_length(dictionary, iset)
     return _fista_engine(dictionary, iset, config, momentum=True)
 
 

@@ -102,6 +102,29 @@ def test_strict_solve_flags_non_convergence(tmp_path):
     assert rc == 1
 
 
+def test_strict_solve_refuses_a_flat_stop_far_from_the_minimizer(tmp_path):
+    # at the protocol size this instance's objective goes flat at iteration
+    # 399 with a KKT residual of 2.2e-3, far above the converged bound
+    out = tmp_path / "instance"
+    assert main(["gen", "--seed", "1", "--distortion", "clip:0.6", "--out", str(out)]) == 0
+    result = tmp_path / "result.json"
+    rc = main([
+        "solve",
+        "--dict", str(out / "dictionary.bin"),
+        "--observation", str(out / "y.txt"),
+        "--distortion", "clip:0.6",
+        "--solver", "fista",
+        "--strict",
+        "--out", str(result),
+    ])
+    assert rc == 1
+    blob = json.loads(result.read_text())
+    assert blob["stop_reason"] == "stalled"
+    assert blob["converged"] is False
+    assert blob["iterations"] < 400
+    assert blob["kkt_residual"] > 1e-3
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solve_writes_valid_json_for_a_diverged_run(tmp_path, monkeypatch):
     out = tmp_path / "instance"
@@ -207,7 +230,7 @@ def test_negative_seed_exits_2_before_gen_writes_anything(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("where", ["empty", "file"])
+@pytest.mark.parametrize("where", ["empty", "file", "under_file", "two_under_file"])
 def test_gen_refuses_an_output_path_that_is_not_a_directory_before_it_draws(
     tmp_path, monkeypatch, capsys, where
 ):
@@ -217,7 +240,12 @@ def test_gen_refuses_an_output_path_that_is_not_a_directory_before_it_draws(
     monkeypatch.setattr("sparse_consist.cli.gen_dictionary", never)
     existing = tmp_path / "file"
     existing.write_text("kept\n")
-    path = {"empty": "", "file": str(existing)}[where]
+    path = {
+        "empty": "",
+        "file": str(existing),
+        "under_file": str(existing / "sub"),
+        "two_under_file": str(existing / "a" / "b"),
+    }[where]
     assert main(["gen", *SMALL, "--out", path]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and repr(path) in err[0]

@@ -1,11 +1,14 @@
 """README's command-line examples parse with the CLI's own parsers, and it
-lists the exit codes the ``cli`` module documents."""
+lists the exit codes the ``cli`` module documents and the stop reasons the
+robustness suite allows."""
 
 import re
 import shlex
 from pathlib import Path
 
 from sparse_consist import DistortionSpec, cli
+
+from test_robustness import STOP_REASONS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,3 +49,17 @@ def test_readme_and_cli_list_the_same_exit_codes():
     codes = _exit_codes(README.read_text())
     assert codes == _exit_codes(cli.__doc__)
     assert codes == sorted(set(codes))
+
+
+def _stop_reasons(text: str) -> list:
+    """The names that start the bullets of the list after the sentence
+    ``Every trace records why the run stopped``, in order."""
+    after = text.split("Every trace records why the run stopped", 1)[1]
+    bullets = re.search(r"\n\n((?:[- ].*\n)+)", after).group(1)
+    return re.findall(r"^- `(\w+)`", bullets, re.M)
+
+
+def test_readme_lists_the_stop_reasons_the_robustness_suite_allows():
+    reasons = _stop_reasons(README.read_text())
+    assert len(reasons) == len(set(reasons))
+    assert set(reasons) == STOP_REASONS

@@ -22,8 +22,9 @@ from sparse_consist import (
     cli,
 )
 from sparse_consist.experiments import SOLVER_NAMES, run_solver
+from sparse_consist.solvers import _CONVERGED_KKT, _REL_CHANGE_FLOOR
 
-STOP_REASONS = {"converged", "max_iter", "non_finite", "inner_stall"}
+STOP_REASONS = {"converged", "stalled", "max_iter", "non_finite", "inner_stall"}
 
 
 @st.composite
@@ -104,6 +105,30 @@ def test_every_solve_stops_for_a_stated_reason_or_raises_value_error(name, probl
     assert trace.stop_reason in STOP_REASONS
     if trace.stop_reason != "non_finite":
         assert np.isfinite(alpha).all()
+
+
+@given(
+    st.sampled_from(["ista", "fista"]), problems(), st.floats(0, 1), st.sampled_from([1e-6, 1e-3])
+)
+@settings(max_examples=200, deadline=None)
+def test_a_flat_stop_reads_converged_only_at_a_small_kkt_residual(name, problem, lam, rel_tol):
+    d, iset = problem
+    config = SolverConfig(lam=lam, max_iter=30, rel_tol=rel_tol)
+    try:
+        _, trace = run_solver(name, d, iset, config, AdmmConfig())
+    except ValueError:
+        return
+    kkt, history = trace.kkt_residual_final, trace.objective_per_iter
+    if trace.stop_reason == "converged":
+        assert kkt <= _CONVERGED_KKT
+    if trace.stop_reason == "stalled":
+        assert not kkt <= _CONVERGED_KKT
+        # the flat rule stopped it, not the budget: its last step was flat
+        assert len(history) >= 2
+        change = abs(history[-1] - history[-2]) / max(history[-2], _REL_CHANGE_FLOOR)
+        assert change < rel_tol
+    if trace.stop_reason == "max_iter":
+        assert trace.iterations_run == config.max_iter
 
 
 # ----------------------------------------------------------------------
