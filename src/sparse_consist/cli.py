@@ -59,12 +59,10 @@ def _parse_grid(kind: str, text: str) -> tuple:
     return grid
 
 
-def _check_out_dir(path: str | None) -> None:
+def _check_out_dir(path: str) -> None:
     """Refuse an output path that is empty, is a directory, or lies in a
     directory that does not exist, before a command spends its time on
     results it could not write."""
-    if path is None:
-        return
     if not path:
         raise ValueError("an output path must not be empty")
     if os.path.isdir(path):

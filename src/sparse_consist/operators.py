@@ -29,7 +29,7 @@ from .feasibility import IntervalSet, _as_vector, _real
 # 1 / L is only safe for L at or above the true value, so pad the estimate.
 LIPSCHITZ_SAFETY = 1.01
 # The power iteration stops at this relative change, or after this many
-# iterations per start vector.
+# iterations.
 _POWER_TOL = 1e-6
 _POWER_MAX_ITER = 500
 
@@ -69,7 +69,12 @@ def power_iteration_gram(matrix):
     Starts from the deterministic normalized all-ones vector so repeated runs
     give identical estimates, and returns the Rayleigh quotient of the last
     iteration: the first whose estimate moved by at most ``_POWER_TOL``
-    relative, or the ``_POWER_MAX_ITER``-th.
+    relative, or the ``_POWER_MAX_ITER``-th. Where the Gram action kills
+    the all-ones start, which lies in the null space of a matrix whose rows
+    sum to zero, no restart is sure to reach the top eigenvector, so the
+    estimate is the exact squared spectral norm of the scaled copy
+    (``np.linalg.norm(scaled, 2)``, by SVD), at least 1/4. Every nonzero
+    matrix gets an estimate.
 
     It runs on the matrix scaled by the power of two that puts its largest
     entry in [0.5, 1), so no norm overflows, and scales the estimate back
@@ -79,45 +84,33 @@ def power_iteration_gram(matrix):
     below the smallest normal double (underflow).
     """
     d = np.asarray(matrix, dtype=np.float64)
-    exponent = math.frexp(_max_abs(d))[1]
+    peak = _max_abs(d)
+    if peak == 0.0:
+        raise ValueError("zero dictionary leaves the gradient step size undefined")
+    exponent = math.frexp(peak)[1]
     scaled = np.ldexp(d, -exponent, out=_aligned_empty(d.shape))
     n, m = d.shape
-    starts = [
-        np.full(m, 1.0 / math.sqrt(m)),
-        np.arange(1.0, m + 1.0) / np.linalg.norm(np.arange(1.0, m + 1.0)),
-    ]
     v, image, w = _aligned_empty(m), _aligned_empty(n), _aligned_empty(m)
-    for start in starts:
-        v[:] = start
-        lam_prev = -np.inf
-        for _ in range(_POWER_MAX_ITER):
-            np.matmul(scaled, v, out=image)
-            np.matmul(scaled.T, image, out=w)
-            lam = float(v @ w)  # Rayleigh quotient; v is unit-norm
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0 or lam <= 0.0:
-                break  # start vector killed by the Gram action
-            np.divide(w, norm_w, out=v)
-            if abs(lam - lam_prev) <= _POWER_TOL * lam:
-                break
-            lam_prev = lam
+    v[:] = 1.0 / math.sqrt(m)
+    lam_prev = -np.inf
+    for _ in range(_POWER_MAX_ITER):
+        np.matmul(scaled, v, out=image)
+        np.matmul(scaled.T, image, out=w)
+        lam = float(v @ w)  # Rayleigh quotient; v is unit-norm
         if lam <= 0.0:
-            continue
-        estimate = float(np.ldexp(lam, 2 * exponent))
-        if np.finfo(np.float64).tiny <= estimate < math.inf:
-            return estimate
-        raise ValueError(
-            f"Gram values of the matrix {'underflow' if estimate < 1.0 else 'overflow'}: "
-            f"power iteration estimates {estimate:.3e} (largest entry {_max_abs(d):.3e})"
-        )
-    if d.any():
-        raise ValueError(
-            "power iteration found no positive Gram action: both start "
-            "vectors lie in the null space of the matrix"
-        )
+            # the Gram action killed the all-ones start
+            lam = float(np.linalg.norm(scaled, 2)) ** 2
+            break
+        np.divide(w, np.linalg.norm(w), out=v)
+        if abs(lam - lam_prev) <= _POWER_TOL * lam:
+            break
+        lam_prev = lam
+    estimate = float(np.ldexp(lam, 2 * exponent))
+    if np.finfo(np.float64).tiny <= estimate < math.inf:
+        return estimate
     raise ValueError(
-        "power iteration found no positive Gram action; zero dictionary "
-        "leaves the gradient step size undefined"
+        f"Gram values of the matrix {'underflow' if estimate < 1.0 else 'overflow'}: "
+        f"power iteration estimates {estimate:.3e} (largest entry {peak:.3e})"
     )
 
 

@@ -302,24 +302,24 @@ def solve_fista(
     return _fista_engine(dictionary, iset, config, momentum=True)
 
 
-def cho_solve(factor, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Solve ``A x = rhs`` into ``out`` given scipy's Cholesky factor
-    ``(c, lower)`` of A, and return out.
+def cho_solve(factor, x: np.ndarray) -> np.ndarray:
+    """Solve ``A y = x`` in place in x given the lower Cholesky factor
+    ``(c, True)`` of A that ``operators.cho_factor`` makes, and return x.
 
     Two triangular matrix-vector solves (BLAS-2 ``trsv``) on the factor.
     scipy's ``cho_solve`` runs LAPACK ``potrs`` instead, whose
-    matrix-matrix ``trsm`` is slower on a one-column right-hand side. Both
-    solve in place in out, a contiguous float64 vector other than rhs, so
-    rhs is left unchanged and the caller decides where the result lives.
-    The factor must be F-contiguous, or each call copies it. scipy.linalg
-    is imported on the first call, not with this module.
+    matrix-matrix ``trsm`` is slower on a one-column right-hand side.
+    ``trsv`` writes in place only into a contiguous float64 x, and
+    otherwise into a copy that it returns; it reads the factor in place
+    only when it is F-contiguous. scipy.linalg is imported on the first
+    call, not with this module.
     """
     from scipy.linalg.blas import dtrsv
 
     c, lower = factor
-    out[:] = rhs
-    x = dtrsv(c, out, lower=lower, trans=0 if lower else 1, overwrite_x=1)
-    return dtrsv(c, x, lower=lower, trans=1 if lower else 0, overwrite_x=1)
+    assert lower, "cho_solve reads only the lower factor"
+    x = dtrsv(c, x, lower=1, trans=0, overwrite_x=1)
+    return dtrsv(c, x, lower=1, trans=1, overwrite_x=1)
 
 
 def inner_projection(dictionary: Dictionary, iset: IntervalSet, u: np.ndarray) -> np.ndarray:
@@ -338,17 +338,17 @@ def inner_projection(dictionary: Dictionary, iset: IntervalSet, u: np.ndarray) -
     factor = dictionary.ridge_cho_factor(1.0)
     z = iset.project(dictionary.synthesize(u))
     w = np.zeros(dictionary.n)
-    rhs, solution = _aligned_empty(dictionary.m), _aligned_empty(dictionary.m)
+    # the ridge right-hand side u + D^T (z - w), solved in place into beta
+    beta = _aligned_empty(dictionary.m)
     image = _aligned_empty(dictionary.n)
     # z - w at the start of a round, image - z at its end
     diff = _aligned_empty(dictionary.n)
-    beta = u
     res = math.inf
     for _ in range(_INNER_ITERS):
         np.subtract(z, w, out=diff)
-        dictionary.correlate(diff, out=rhs)
-        rhs += u
-        beta = cho_solve(factor, rhs, solution)
+        dictionary.correlate(diff, out=beta)
+        beta += u
+        beta = cho_solve(factor, beta)
         dictionary.synthesize(beta, out=image)
         np.add(image, w, out=z)
         iset.project(z, out=z)

@@ -39,6 +39,9 @@ class Mutant(NamedTuple):
 
 
 SOLVERS = "src/sparse_consist/solvers.py"
+OPERATORS = "src/sparse_consist/operators.py"
+EXPERIMENTS = "src/sparse_consist/experiments.py"
+FEASIBILITY = "src/sparse_consist/feasibility.py"
 
 MUTANTS = (
     Mutant(
@@ -63,7 +66,7 @@ MUTANTS = (
     ),
     Mutant(
         "LIPSCHITZ_SAFETY moved by 1e-7",
-        "src/sparse_consist/operators.py",
+        OPERATORS,
         "LIPSCHITZ_SAFETY = 1.01\n",
         "LIPSCHITZ_SAFETY = 1.0100001\n",
         ("tests/test_cli.py::test_bench_csv_matches_committed_golden_file",),
@@ -77,7 +80,7 @@ MUTANTS = (
     ),
     Mutant(
         "ExperimentSpec refusing seeds of 1e6 and above",
-        "src/sparse_consist/experiments.py",
+        EXPERIMENTS,
         "        if self.k_sparse > self.m:\n",
         "        if self.seed >= 10**6:\n"
         '            raise ValueError("seed must be below 1e6")\n'
@@ -99,6 +102,100 @@ MUTANTS = (
         (
             "tests/test_cli.py::test_strict_solve_refuses_a_flat_stop_far_from_the_minimizer",
             "tests/test_robustness.py::test_a_flat_stop_reads_converged_only_at_a_small_kkt_residual",
+        ),
+    ),
+    Mutant(
+        "the flat stop after one flat iteration, not two",
+        SOLVERS,
+        "            if flat_streak >= 2:\n",
+        "            if flat_streak >= 1:\n",
+        ("tests/test_engine.py::test_engine_matches_the_reference_loop_bit_for_bit",),
+    ),
+    Mutant(
+        "the non_finite stop dropped",
+        SOLVERS,
+        "        if not math.isfinite(obj):\n"
+        '            stop_reason = "non_finite"\n'
+        "            break\n",
+        "",
+        (
+            "tests/test_engine.py::test_run_stops_at_the_first_non_finite_objective",
+            "tests/test_experiments.py::test_diverged_solves_are_counted_as_failures",
+        ),
+    ),
+    Mutant(
+        "LIPSCHITZ_SAFETY = 1.0",
+        OPERATORS,
+        "LIPSCHITZ_SAFETY = 1.01\n",
+        "LIPSCHITZ_SAFETY = 1.0\n",
+        (
+            "tests/test_operators.py::test_second_difference_dictionary_gets_the_padded_estimate",
+            "tests/test_operators.py::test_lipschitz_estimate_upper_bounds_true_value_and_caches",
+        ),
+    ),
+    Mutant(
+        "IntervalSet.project's bounds swapped",
+        FEASIBILITY,
+        "return np.minimum(self.upper, np.maximum(self.lower, x, out=out), out=out)",
+        "return np.minimum(self.lower, np.maximum(self.upper, x, out=out), out=out)",
+        ("tests/test_feasibility.py::test_project_clamps_elementwise",),
+    ),
+    Mutant(
+        "_count accepting a bool",
+        FEASIBILITY,
+        "if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
+        "if not isinstance(value, numbers.Integral):",
+        ("tests/test_experiments.py::test_spec_validation",),
+    ),
+    Mutant(
+        "_fmt writing str(value)",
+        EXPERIMENTS,
+        "return repr(float(value))",
+        "return str(value)",
+        (
+            "tests/test_cli.py::test_bench_csv_matches_committed_golden_file",
+            "tests/test_experiments.py::test_results_csv_layout",
+            "tests/test_experiments.py::test_timing_csv_layout",
+        ),
+    ),
+    Mutant(
+        "the sweep's reduction dropping the first trial's failure reason",
+        EXPERIMENTS,
+        "reasons = Counter(c[3] for c in cells if c[3] is not None)",
+        "reasons = Counter(c[3] for c in cells[1:] if c[3] is not None)",
+        (
+            "tests/test_experiments.py::test_failed_solver_runs_are_counted_not_raised",
+            "tests/test_experiments.py::test_diverged_solves_are_counted_as_failures",
+        ),
+    ),
+    Mutant(
+        "the power iteration's exact fallback put back to a restart from the ramp 1..m",
+        OPERATORS,
+        "            lam = float(np.linalg.norm(scaled, 2)) ** 2\n            break\n",
+        "            v[:] = np.arange(1.0, m + 1.0) / np.linalg.norm(np.arange(1.0, m + 1.0))\n"
+        "            continue\n",
+        (
+            "tests/test_operators.py::test_power_iteration_survives_start_orthogonal_to_top_space",
+            "tests/test_robustness.py::test_fista_solves_on_a_dictionary_whose_rows_sum_to_zero",
+        ),
+    ),
+    Mutant(
+        "the power iteration's exact fallback replaced by a restart from the largest column",
+        OPERATORS,
+        "            lam = float(np.linalg.norm(scaled, 2)) ** 2\n            break\n",
+        "            v[:] = 0.0\n"
+        "            v[np.argmax(np.linalg.norm(scaled, axis=0))] = 1.0\n"
+        "            continue\n",
+        ("tests/test_operators.py::test_power_iteration_survives_start_orthogonal_to_top_space",),
+    ),
+    Mutant(
+        "cho_solve solving into a copy of x",
+        SOLVERS,
+        "    c, lower = factor\n",
+        "    c, lower = factor\n    x = x.copy()\n",
+        (
+            "tests/test_admm.py::test_cho_solve_matches_scipy_in_place",
+            "tests/test_admm.py::test_cho_solve_results_start_on_a_cache_line",
         ),
     ),
 )

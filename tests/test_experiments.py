@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import pickle
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -226,6 +227,10 @@ def test_spec_validation():
     assert _small_spec(shared_dictionary=np.bool_(True)).shared_dictionary
     spec = _small_spec(solvers=["ista"])  # lists are coerced
     assert spec.solvers == ("ista",)
+    # run_solver refuses an unknown name too, and lists the known ones
+    iset = DistortionSpec.identity().preimage(np.zeros(4))
+    with pytest.raises(ValueError, match=re.escape(str(exps.SOLVER_NAMES))):
+        exps.run_solver("nope", gen_dictionary(0, 4, 8), iset, SolverConfig(), AdmmConfig())
 
 
 def test_sweep_is_deterministic_and_ordered():
@@ -540,3 +545,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     exps._atomic_write_text(target, "two\n")
     assert target.read_text() == "two\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    # a failed replace removes its temporary file and re-raises
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(IsADirectoryError):
+        exps._atomic_write_text(tmp_path / "sub", "three\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "sub"]
+
+
+def test_atomic_write_reraises_its_own_error_when_cleanup_fails(tmp_path, monkeypatch):
+    # the caller learns why the write failed, not why its cleanup did
+    (tmp_path / "sub").mkdir()
+
+    def refuse(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(exps.os, "unlink", refuse)
+    with pytest.raises(IsADirectoryError):
+        exps._atomic_write_text(tmp_path / "sub", "text\n")

@@ -98,16 +98,35 @@ def test_power_iteration_is_deterministic():
 
 
 def test_power_iteration_survives_start_orthogonal_to_top_space(monkeypatch):
-    # The all-ones start is annihilated here, but the fallback start is not.
+    # Every row sums to zero, so the Gram action kills the all-ones start;
+    # the last matrix's entries are powers of two, so it does to the last
+    # bit. There the column of largest norm spans only the first block, so
+    # a restart from it would read 2, not the top eigenvalue 4.
     monkeypatch.setattr(operators, "_POWER_TOL", 1e-12)
-    d = np.array([[1.0, -1.0]])
-    lam = power_iteration_gram(d)
-    assert lam == pytest.approx(2.0, rel=1e-9)
+    atom = np.array([1.0, -2.0, 1.0, 0.0, 0.0, 0.0])
+    shifted = np.array([(i + 1) * np.roll(atom, i % 2) for i in range(8)])
+    blocks = np.zeros((2, 18))
+    blocks[0, :2] = [1.0, -1.0]
+    blocks[1, 2:] = np.tile([0.5, -0.5], 8)
+    for d in (
+        np.array([[1.0, -1.0]]),
+        np.array([[1.0, -2.0, 1.0]]),
+        np.array([[1.0, -2.0, 1.0], [2.0, -4.0, 2.0]]),
+        shifted,
+        blocks,
+    ):
+        lam = power_iteration_gram(d)
+        assert lam == pytest.approx(float(np.linalg.eigvalsh(d.T @ d)[-1]), rel=1e-9)
 
 
 def test_power_iteration_rejects_zero_matrix():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero dictionary"):
         power_iteration_gram(np.zeros((3, 4)))
+
+
+def test_second_difference_dictionary_gets_the_padded_estimate():
+    d = Dictionary([[1.0, -2.0, 1.0]])
+    assert d.estimate_lipschitz() == pytest.approx(1.01 * 6.0, rel=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -179,6 +198,8 @@ def test_synthesize_correlate_shapes_and_errors():
         d.synthesize(np.zeros(4))
     with pytest.raises(DimensionMismatch):
         d.correlate(np.zeros(7))
+    with pytest.raises(ValueError, match="1-D vector"):
+        d.synthesize(np.zeros((7, 1)))
 
 
 def test_adjoint_identity():

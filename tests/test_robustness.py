@@ -20,6 +20,7 @@ from sparse_consist import (
     IntervalSet,
     SolverConfig,
     cli,
+    solve_fista,
 )
 from sparse_consist.experiments import SOLVER_NAMES, run_solver
 from sparse_consist.solvers import _CONVERGED_KKT, _REL_CHANGE_FLOOR
@@ -221,6 +222,31 @@ def test_input_files_without_numbers_exit_2_with_one_error_line(instance, tmp_pa
         _assert_one_error_line(rc, err)
         assert str(path) in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_a_two_column_observation_exits_2_with_one_error_line(instance, tmp_path):
+    path = tmp_path / "y2.txt"
+    path.write_text("0.1 0.2\n0.3 0.4\n")
+    argv = ["solve", "--dict", str(instance / "dictionary.bin"), "--observation", str(path),
+            "--distortion", "clip:inf", "--out", str(tmp_path / "r.json")]
+    rc, err = _run_cli(argv)
+    _assert_one_error_line(rc, err)
+    assert "single column" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_fista_solves_on_a_dictionary_whose_rows_sum_to_zero():
+    # The all-ones start of the power iteration lies in this matrix's null
+    # space. The box is [0.5, inf), so the minimizer of
+    # 0.5 (0.5 + 2 a)^2 + lam |a| is a = -0.25 + lam / 4 on the middle atom.
+    clip = DistortionSpec.clipping(0.5)
+    config = SolverConfig(rel_tol=1e-12)
+    alpha, trace = solve_fista(
+        Dictionary([[1.0, -2.0, 1.0]]), clip.preimage(np.array([0.5])), config
+    )
+    assert trace.stop_reason == "converged"
+    assert trace.kkt_residual_final <= _CONVERGED_KKT
+    np.testing.assert_allclose(alpha, [0.0, -0.25 + config.lam / 4, 0.0], rtol=0, atol=1e-6)
 
 
 @given(bad_descriptors())
