@@ -8,8 +8,9 @@ clipper and a uniform midriser quantizer; each one's pre-image is a box, an
 No distortion is the clipper at infinity, whose pre-image of ``y`` is the
 point ``{y}``.
 The dictionary's helpers, :func:`power_iteration_gram` behind its Lipschitz
-estimate and :func:`cho_factor` behind its ridge factors, are this
-module's own; the package does not export them.
+constant (one exact eigenvalue solve, whatever the name says) and
+:func:`cho_factor` behind its ridge factors, are this module's own; the
+package does not export them.
 """
 
 from __future__ import annotations
@@ -25,13 +26,9 @@ import numpy as np
 from .errors import DimensionMismatch
 from .feasibility import IntervalSet, _as_vector, _real
 
-# Power iteration underestimates the top eigenvalue; the gradient step size
-# 1 / L is only safe for L at or above the true value, so pad the estimate.
+# The gradient step size 1 / L is only safe for L at or above ||D^T D||; the
+# 1% pad covers the eigenvalue solve's rounding with room to spare.
 LIPSCHITZ_SAFETY = 1.01
-# The power iteration stops at this relative change, or after this many
-# iterations.
-_POWER_TOL = 1e-6
-_POWER_MAX_ITER = 500
 
 # How far an observation may sit from a quantizer level and still read as
 # that level. The pre-image caps it at a quarter bin, so that a bin edge is
@@ -64,53 +61,38 @@ def _aligned_empty(shape) -> np.ndarray:
 # The function reports an overflow by its ValueError, not by numpy's warning.
 @np.errstate(over="ignore")
 def power_iteration_gram(matrix):
-    """Largest eigenvalue of ``matrix.T @ matrix`` by power iteration.
+    """Largest eigenvalue of ``matrix.T @ matrix``, exact to rounding.
 
-    Starts from the deterministic normalized all-ones vector so repeated runs
-    give identical estimates, and returns the Rayleigh quotient of the last
-    iteration: the first whose estimate moved by at most ``_POWER_TOL``
-    relative, or the ``_POWER_MAX_ITER``-th. Where the Gram action kills
-    the all-ones start, which lies in the null space of a matrix whose rows
-    sum to zero, no restart is sure to reach the top eigenvector, so the
-    estimate is the exact squared spectral norm of the scaled copy
-    (``np.linalg.norm(scaled, 2)``, by SVD), at least 1/4. Every nonzero
-    matrix gets an estimate.
+    One symmetric eigenvalue solve, ``np.linalg.eigvalsh``, of the smaller
+    Gram matrix of the scaled copy: ``S @ S.T`` when the matrix has no more
+    rows than columns, else ``S.T @ S``. Both share their nonzero
+    eigenvalues, so the result holds for every matrix, whatever its
+    symmetries. The copy ``S`` is the matrix scaled by the power of two
+    that puts its largest entry in [0.5, 1), so no Gram value overflows,
+    and the eigenvalue is scaled back exactly. Raises ValueError for a zero
+    matrix, and for one whose eigenvalue is not finite (overflow) or below
+    the smallest normal double (underflow).
 
-    It runs on the matrix scaled by the power of two that puts its largest
-    entry in [0.5, 1), so no norm overflows, and scales the estimate back
-    exactly. The scaled copy and the iterate, image and Gram-action vectors
-    live in 64-byte-aligned buffers allocated once. Raises ValueError for a
-    zero matrix, and for one whose estimate is not finite (overflow) or
-    below the smallest normal double (underflow).
+    The name outlives the power iteration it once ran, because the
+    benchmark depends on it: ``perfbench/spans.py`` patches
+    ``operators.power_iteration_gram``, and ``perfbench/layers.py`` reads
+    its span to tell an ``estimate_lipschitz`` call that computed from one
+    that hit the cache.
     """
     d = np.asarray(matrix, dtype=np.float64)
     peak = _max_abs(d)
     if peak == 0.0:
         raise ValueError("zero dictionary leaves the gradient step size undefined")
     exponent = math.frexp(peak)[1]
-    scaled = np.ldexp(d, -exponent, out=_aligned_empty(d.shape))
-    n, m = d.shape
-    v, image, w = _aligned_empty(m), _aligned_empty(n), _aligned_empty(m)
-    v[:] = 1.0 / math.sqrt(m)
-    lam_prev = -np.inf
-    for _ in range(_POWER_MAX_ITER):
-        np.matmul(scaled, v, out=image)
-        np.matmul(scaled.T, image, out=w)
-        lam = float(v @ w)  # Rayleigh quotient; v is unit-norm
-        if lam <= 0.0:
-            # the Gram action killed the all-ones start
-            lam = float(np.linalg.norm(scaled, 2)) ** 2
-            break
-        np.divide(w, np.linalg.norm(w), out=v)
-        if abs(lam - lam_prev) <= _POWER_TOL * lam:
-            break
-        lam_prev = lam
+    scaled = np.ldexp(d, -exponent)
+    gram = scaled @ scaled.T if d.shape[0] <= d.shape[1] else scaled.T @ scaled
+    lam = float(np.linalg.eigvalsh(gram)[-1])
     estimate = float(np.ldexp(lam, 2 * exponent))
     if np.finfo(np.float64).tiny <= estimate < math.inf:
         return estimate
     raise ValueError(
         f"Gram values of the matrix {'underflow' if estimate < 1.0 else 'overflow'}: "
-        f"power iteration estimates {estimate:.3e} (largest entry {peak:.3e})"
+        f"largest eigenvalue {estimate:.3e} (largest entry {peak:.3e})"
     )
 
 
@@ -202,8 +184,9 @@ class Dictionary:
     def estimate_lipschitz(self) -> float:
         """Padded estimate of the gradient Lipschitz constant ``||D.T D||_2``.
 
-        Computed once by deterministic power iteration, multiplied by
-        ``LIPSCHITZ_SAFETY``, then cached; later calls return the cached value.
+        Computed once, exactly to rounding, by :func:`power_iteration_gram`,
+        multiplied by ``LIPSCHITZ_SAFETY``, then cached; later calls return
+        the cached value.
         """
         if self._lipschitz is None:
             self._lipschitz = LIPSCHITZ_SAFETY * power_iteration_gram(self._matrix)

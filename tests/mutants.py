@@ -156,6 +156,7 @@ MUTANTS = (
             "tests/test_cli.py::test_bench_csv_matches_committed_golden_file",
             "tests/test_experiments.py::test_results_csv_layout",
             "tests/test_experiments.py::test_timing_csv_layout",
+            "tests/test_experiments.py::test_fmt_writes_a_float_for_every_real",
         ),
     ),
     Mutant(
@@ -169,24 +170,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the power iteration's exact fallback put back to a restart from the ramp 1..m",
+        "the Gram's smallest eigenvalue taken for its largest",
         OPERATORS,
-        "            lam = float(np.linalg.norm(scaled, 2)) ** 2\n            break\n",
-        "            v[:] = np.arange(1.0, m + 1.0) / np.linalg.norm(np.arange(1.0, m + 1.0))\n"
-        "            continue\n",
+        "eigvalsh(gram)[-1]",
+        "eigvalsh(gram)[0]",
         (
+            "tests/test_operators.py::test_power_iteration_matches_dense_eigensolver",
             "tests/test_operators.py::test_power_iteration_survives_start_orthogonal_to_top_space",
-            "tests/test_robustness.py::test_fista_solves_on_a_dictionary_whose_rows_sum_to_zero",
         ),
     ),
     Mutant(
-        "the power iteration's exact fallback replaced by a restart from the largest column",
+        "the eigenvalue scaled back by 2**exponent, not 2**(2 * exponent)",
         OPERATORS,
-        "            lam = float(np.linalg.norm(scaled, 2)) ** 2\n            break\n",
-        "            v[:] = 0.0\n"
-        "            v[np.argmax(np.linalg.norm(scaled, axis=0))] = 1.0\n"
-        "            continue\n",
-        ("tests/test_operators.py::test_power_iteration_survives_start_orthogonal_to_top_space",),
+        "np.ldexp(lam, 2 * exponent)",
+        "np.ldexp(lam, exponent)",
+        (
+            "tests/test_operators.py::test_power_iteration_matches_dense_eigensolver",
+            "tests/test_operators.py::test_power_iteration_estimates_a_large_dictionary",
+        ),
+    ),
+    Mutant(
+        "the pre-image's saturated upper side moved one level down",
+        OPERATORS,
+        "upper[out == top] = np.inf",
+        "upper[out == top - 2.0 * half] = np.inf",
+        (
+            "tests/test_feasibility.py::test_quantization_preimage_interior_and_saturated_bins",
+            "tests/test_feasibility.py::test_fine_quantizer_saturates_only_the_outermost_levels",
+        ),
     ),
     Mutant(
         "cho_solve solving into a copy of x",

@@ -522,6 +522,13 @@ def test_results_csv_layout(tmp_path):
     assert path.read_bytes() == blob
 
 
+def test_fmt_writes_a_float_for_every_real():
+    # a float64 prints the same digits under str and repr; an int and a
+    # float32 do not
+    assert exps._fmt(3) == "3.0"
+    assert exps._fmt(np.float32(0.1)) == repr(float(np.float32(0.1)))
+
+
 def test_results_csv_can_include_times(tmp_path):
     result = run_experiment(_small_spec())
     path = tmp_path / "bench.csv"

@@ -79,17 +79,15 @@ def test_quantizer_output_is_nearest_level_or_clamp(n_bits, value):
 
 
 # ----------------------------------------------------------------------
-# power iteration
+# the Lipschitz constant: power_iteration_gram
 
 
-def test_power_iteration_matches_dense_eigensolver(monkeypatch):
-    monkeypatch.setattr(operators, "_POWER_TOL", 1e-10)
-    monkeypatch.setattr(operators, "_POWER_MAX_ITER", 2000)
+def test_power_iteration_matches_dense_eigensolver():
     for seed in range(6):
         d = _random_dictionary(seed).matrix
         lam = power_iteration_gram(d)
         exact = float(np.linalg.eigvalsh(d.T @ d)[-1])
-        assert lam == pytest.approx(exact, rel=1e-6)
+        assert lam == pytest.approx(exact, rel=1e-12)
 
 
 def test_power_iteration_is_deterministic():
@@ -97,26 +95,33 @@ def test_power_iteration_is_deterministic():
     assert power_iteration_gram(d) == power_iteration_gram(d)
 
 
-def test_power_iteration_survives_start_orthogonal_to_top_space(monkeypatch):
-    # Every row sums to zero, so the Gram action kills the all-ones start;
-    # the last matrix's entries are powers of two, so it does to the last
-    # bit. There the column of largest norm spans only the first block, so
-    # a restart from it would read 2, not the top eigenvalue 4.
-    monkeypatch.setattr(operators, "_POWER_TOL", 1e-12)
+def test_power_iteration_survives_start_orthogonal_to_top_space():
+    # Inputs on which an all-ones start misses the top eigenvector. In every
+    # matrix but the 8 x 6 one each row sums to zero, so the Gram action
+    # kills that start; in the two block matrices the column of largest norm
+    # spans only the first block, whose eigenvalue is not the top one. The
+    # 8 x 6 second-difference dictionary is symmetric under reversing its
+    # atoms, so the all-ones start is orthogonal to the antisymmetric top
+    # eigenvector without being killed.
     atom = np.array([1.0, -2.0, 1.0, 0.0, 0.0, 0.0])
     shifted = np.array([(i + 1) * np.roll(atom, i % 2) for i in range(8)])
     blocks = np.zeros((2, 18))
     blocks[0, :2] = [1.0, -1.0]
     blocks[1, 2:] = np.tile([0.5, -0.5], 8)
+    second_difference = np.zeros((8, 6))
+    for j in range(6):
+        second_difference[j : j + 3, j] = [1.0, -2.0, 1.0]
     for d in (
         np.array([[1.0, -1.0]]),
         np.array([[1.0, -2.0, 1.0]]),
         np.array([[1.0, -2.0, 1.0], [2.0, -4.0, 2.0]]),
         shifted,
         blocks,
+        second_difference,
+        np.array([[1.0, -1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.9, -0.9, 0.9, -0.9]]),
     ):
         lam = power_iteration_gram(d)
-        assert lam == pytest.approx(float(np.linalg.eigvalsh(d.T @ d)[-1]), rel=1e-9)
+        assert lam == pytest.approx(float(np.linalg.eigvalsh(d.T @ d)[-1]), rel=1e-12)
 
 
 def test_power_iteration_rejects_zero_matrix():
@@ -226,7 +231,7 @@ def test_lipschitz_estimate_upper_bounds_true_value_and_caches(monkeypatch):
     exact = float(np.linalg.eigvalsh(d.matrix.T @ d.matrix)[-1])
     est = d.estimate_lipschitz()
     assert exact <= est <= LIPSCHITZ_SAFETY * exact * (1 + 1e-6)
-    # a later call returns the cached value without another power iteration
+    # a later call returns the cached value without another eigenvalue solve
     assert d.estimate_lipschitz() == est
     assert len(calls) == 1
 

@@ -86,8 +86,8 @@ def _clip_probe(scale):
 
 @given(st.sampled_from(SOLVER_NAMES), problems(), st.floats(0, 1))
 # Fixed cases from a hand probe: ridge Gram values negligible next to the
-# identity (1e-150) or swamping it (1e140, 1e150), and a power iteration
-# whose norms overflow (1e140).
+# identity (1e-150) or swamping it (1e140, 1e150), and a Lipschitz
+# constant whose unscaled Gram values would overflow (1e140).
 @example("admm", _clip_probe(1e-150), 0.1)
 @example("admm", _clip_probe(1e140), 0.1)
 @example("admm", _clip_probe(1e150), 0.1)
@@ -236,8 +236,8 @@ def test_a_two_column_observation_exits_2_with_one_error_line(instance, tmp_path
 
 
 def test_fista_solves_on_a_dictionary_whose_rows_sum_to_zero():
-    # The all-ones start of the power iteration lies in this matrix's null
-    # space. The box is [0.5, inf), so the minimizer of
+    # Every row sums to zero, so the all-ones vector lies in this matrix's
+    # null space. The box is [0.5, inf), so the minimizer of
     # 0.5 (0.5 + 2 a)^2 + lam |a| is a = -0.25 + lam / 4 on the middle atom.
     clip = DistortionSpec.clipping(0.5)
     config = SolverConfig(rel_tol=1e-12)

@@ -141,7 +141,7 @@ def test_trace_shape_matches_iterations_run():
 
 
 def test_converged_run_reports_convergence():
-    dic, iset, _ = _clip_instance(26)
+    dic, iset, _ = _clip_instance(46)
     _, trace = solve_fista(dic, iset, SolverConfig(max_iter=100000, rel_tol=1e-9))
     assert trace.converged
     assert trace.stop_reason == "converged"
