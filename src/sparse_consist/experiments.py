@@ -6,7 +6,9 @@ All randomness flows through PCG64 (numpy's documented, versioned bit
 generator) seeded explicitly. Normal variates are produced by inverse-CDF
 sampling of a 53-bit uniform rather than numpy's ziggurat so the draw
 sequence is pinned by this module, not by numpy internals: the ziggurat
-tables are an implementation detail numpy is free to change, ndtri is not.
+tables are an implementation detail numpy is free to change. The inverse
+CDF is this module's port of Cephes' ndtri, which returns the bits that
+scipy.special.ndtri returns, so data generation loads no scipy module.
 Support sets come from a partial Fisher-Yates shuffle driven by the same
 generator. Trial t uses seed + t for its dictionary and
 seed + t + SIGNAL_SEED_OFFSET for its signal, so the two streams never
@@ -56,14 +58,103 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     """Standard normal draws via inverse CDF of u = (k + 1/2) / 2^53.
 
     For k >= 2^52 the added half rounds to the even neighbour, so k = 2^53 - 1
-    gives u = 1; u is clamped below 1, which changes no other draw.
-    scipy.special is imported on the first draw, not with this module.
+    gives u = 1; u is clamped below 1, which changes no other draw. The
+    inverse CDF is ``_ndtri``, bit for bit scipy.special.ndtri.
     """
-    from scipy.special import ndtri
-
     k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    u = (k.astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(np.minimum(u, 1.0 - 2.0**-53, out=u))
+    u = k.astype(np.float64)
+    del k
+    u += 0.5
+    u *= 2.0**-53
+    return _ndtri(np.minimum(u, 1.0 - 2.0**-53, out=u))
+
+
+# Cephes ndtri (Moshier), as scipy.special.ndtri runs it. P0/Q0 cover
+# |y - 1/2| <= 3/8, P1/Q1 the tail x = sqrt(-2 log y) in [2, 8) and P2/Q2
+# x in [8, 64), both in z = 1/x. Each Q carries the leading 1 that Cephes'
+# p1evl implies, so one Horner loop evaluates every table: 1 * z + q is
+# exactly z + q.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+# Elements per block of _ndtri: its temporaries stay near 1 MiB in all.
+_NDTRI_BLOCK = 1 << 15
+
+
+def _horner(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """coef[0] x^N + ... + coef[N] in Cephes' polevl order."""
+    ans = x * coef[0]
+    for c in coef[1:-1]:
+        ans += c
+        ans *= x
+    ans += coef[-1]
+    return ans
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """log through the C library, as compiled Cephes calls it; np.log uses
+    its own SIMD routine, which rounds some values differently."""
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """The inverse of the standard normal CDF, written over y and returned.
+
+    y is a C-contiguous float64 array with 0 < y < 1. Each result has the
+    bits of scipy.special.ndtri: the same tables, operation order and
+    branch tests, with the tail logarithms from the C library. Blocks keep
+    the temporaries small, and index arrays, faster than boolean masks,
+    pick each branch's values; the central 73% of values need no logarithm.
+    """
+    flat = y.reshape(-1)
+    for start in range(0, flat.size, _NDTRI_BLOCK):
+        b = flat[start : start + _NDTRI_BLOCK]
+        upper = b > 1.0 - _EXP_M2
+        np.subtract(1.0, b, out=b, where=upper)
+        central = b > _EXP_M2
+        mid, tail = np.flatnonzero(central), np.flatnonzero(~central)
+        w = b[mid]
+        w -= 0.5
+        w2 = w * w
+        b[mid] = (w + w * (w2 * _horner(w2, _P0) / _horner(w2, _Q0))) * _S2PI
+        x = np.sqrt(-2.0 * _libm_log(b[tail]))
+        x0 = x - _libm_log(x) / x
+        x1 = 1.0 / x
+        near = x < 8.0
+        for sel, p, q in ((near, _P1, _Q1), (~near, _P2, _Q2)):
+            z = x1[sel]
+            x1[sel] = z * _horner(z, p) / _horner(z, q)
+        x = x0 - x1
+        b[tail] = np.negative(x, out=x, where=~upper[tail])
+    return y
 
 
 def sample_support(rng: np.random.Generator, m: int, k: int) -> np.ndarray:

@@ -209,6 +209,33 @@ MUTANTS = (
             "tests/test_admm.py::test_cho_solve_results_start_on_a_cache_line",
         ),
     ),
+    Mutant(
+        "Q0's last coefficient moved by one in its 16th digit, about one ulp",
+        EXPERIMENTS,
+        "-1.18331621121330003142e0,",
+        "-1.18331621121330013142e0,",
+        (
+            "tests/test_experiments.py::test_normal_draws_match_scipy_ndtri_bit_for_bit_at_protocol_size",
+            "tests/test_experiments.py::test_normal_draws_match_scipy_ndtri_for_any_integer_draw",
+        ),
+    ),
+    Mutant(
+        "the tail logarithms taken with np.log, not the C library's log",
+        EXPERIMENTS,
+        "np.fromiter(map(math.log, x.tolist()), np.float64, x.size)",
+        "np.log(x)",
+        (
+            "tests/test_experiments.py::test_normal_draws_match_scipy_ndtri_bit_for_bit_at_protocol_size",
+            "tests/test_experiments.py::test_ndtri_matches_scipy_at_its_branch_boundaries",
+        ),
+    ),
+    Mutant(
+        "ndtri's flip to the upper tail taken at y >= 1 - exp(-2)",
+        EXPERIMENTS,
+        "upper = b > 1.0 - _EXP_M2",
+        "upper = b >= 1.0 - _EXP_M2",
+        ("tests/test_experiments.py::test_ndtri_matches_scipy_at_its_branch_boundaries",),
+    ),
 )
 
 

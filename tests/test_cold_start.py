@@ -24,6 +24,12 @@ sc.solve_fista(d, target, sc.SolverConfig(max_iter=20))
     "gen": """
 d = sc.gen_dictionary(0, 4, 8)
 """,
+    "sweep": """
+sc.run_experiment(sc.ExperimentSpec(
+    n=8, m=16, k_sparse=2, trials=1, distortion_grid=(sc.DistortionSpec.clipping(0.5),),
+    solvers=("ista", "fista"), solver_config=sc.SolverConfig(max_iter=20),
+), jobs=1)
+""",
     "admm": """
 sc.solve_admm_constrained(d, target, sc.AdmmConfig(max_iter=3))
 """,
@@ -52,9 +58,10 @@ def test_scipy_modules_load_on_first_use_only():
     loaded = {stage: mods - POOL_MODULES for stage, mods in _modules_per_stage().items()}
     # importing the package and a proximal solve need numpy only
     assert loaded["fista"] == set()
-    # data generation draws normals through scipy.special.ndtri
-    assert "scipy.special" in loaded["gen"]
-    assert "scipy.linalg" not in loaded["gen"]
+    # data generation draws normals through the package's own ndtri
+    assert loaded["gen"] == set()
+    # so a proximal sweep that generates its data loads no scipy either
+    assert loaded["sweep"] == set()
     # the ADMM baseline factors and solves its ridge system with scipy.linalg
     assert "scipy.linalg" in loaded["admm"]
 
@@ -63,3 +70,4 @@ def test_no_process_pool_machinery_loads_without_a_pool():
     loaded = _modules_per_stage()
     assert not loaded["fista"] & POOL_MODULES
     assert not loaded["gen"] & POOL_MODULES
+    assert not loaded["sweep"] & POOL_MODULES

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import sparse_consist.experiments as exps
@@ -30,7 +32,7 @@ from sparse_consist import (
     write_results_csv,
     write_timing_csv,
 )
-from sparse_consist.experiments import make_rng, sample_support, standard_normal
+from sparse_consist.experiments import _ndtri, make_rng, sample_support, standard_normal
 
 
 def _small_spec(**overrides):
@@ -87,6 +89,49 @@ def test_the_largest_integer_draw_stays_finite():
     # the next draw down is unchanged
     below = standard_normal(_FixedIntegers(2**53 - 2), 1)
     assert below[0] == ndtri(1.0 - 2.0**-52) < top[0]
+
+
+def _scipy_normal(rng, size):
+    """The draw as standard_normal makes it, with scipy's ndtri as the oracle."""
+    k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
+    u = (k.astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(np.minimum(u, 1.0 - 2.0**-53))
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def test_normal_draws_match_scipy_ndtri_bit_for_bit_at_protocol_size():
+    # ten 256 x 512 dictionaries: 1.3M draws, about 355k of them in the tails
+    for seed in range(0, 10_000, 1_000):
+        own = standard_normal(make_rng(seed), (256, 512))
+        assert _same_bits(own, _scipy_normal(make_rng(seed), (256, 512))), seed
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**53 - 1))
+def test_normal_draws_match_scipy_ndtri_for_any_integer_draw(k):
+    assert _same_bits(standard_normal(_FixedIntegers(k), 2), _scipy_normal(_FixedIntegers(k), 2))
+
+
+def test_ndtri_matches_scipy_at_its_branch_boundaries():
+    # k = 0 gives u = 2**-54, where z = sqrt(-2 log u) >= 8 picks the P2/Q2 table
+    assert _same_bits(standard_normal(_FixedIntegers(0), 1), ndtri([2.0**-54]))
+    exp_m2 = 0.13533528323661269189
+    around = [
+        math.exp(-32),
+        # the largest y whose z rounds to 8 and the next double up, with z < 8
+        1.2664165549094198e-14,
+        1.2664165549094199e-14,
+        exp_m2,
+        1.0 - exp_m2,
+        1.0 - math.exp(-32),
+    ]
+    u = [np.nextafter(v, side) for v in around for side in (0.0, 1.0)]
+    u += around + [2.0**-54, 0.5, 1.0 - 2.0**-53]
+    u = np.array(u)
+    assert _same_bits(_ndtri(u.copy()), ndtri(u))
 
 
 def test_support_sampling_contract():
