@@ -73,7 +73,7 @@ def _check_out_dir(path: str) -> None:
 
 def _solver_configs(args) -> tuple[SolverConfig, AdmmConfig]:
     return (
-        SolverConfig(lam=args.lam, max_iter=args.max_iter, rel_tol=args.rel_tol),
+        SolverConfig(lam=args.lam, max_iter=args.max_iter, tol=args.tol),
         AdmmConfig(max_iter=args.admm_max_iter),
     )
 
@@ -232,8 +232,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, help="iteration cap")
     p.add_argument("--admm-max-iter", type=int, default=AdmmConfig.max_iter,
                    help="outer iteration cap for the admm solver")
-    p.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol,
-                   help="relative objective-change stopping tolerance")
+    p.add_argument("--tol", type=float, default=SolverConfig.tol,
+                   help="KKT residual at which a relaxed solve stops as converged")
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser, trials: int, solvers: str) -> None:

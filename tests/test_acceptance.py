@@ -124,7 +124,7 @@ def test_02_projection_idempotent_and_non_expansive():
 def test_03_plain_solver_descends_monotonically():
     t0 = time.perf_counter()
     worst_rise = -np.inf
-    config = SolverConfig(lam=1e-2, max_iter=400, rel_tol=0.0)
+    config = SolverConfig(lam=1e-2, max_iter=400, tol=0.0)
     for t in range(20):
         dic, iset = _protocol_instance(t, DistortionSpec.clipping(0.6), seed=700)
         _, trace = solve_ista(dic, iset, config)
@@ -143,7 +143,7 @@ def test_04_both_solvers_agree_at_tight_tolerance():
     t0 = time.perf_counter()
     worst_gap = 0.0
     worst_kkt = 0.0
-    config = SolverConfig(lam=1e-2, max_iter=100000, rel_tol=1e-10)
+    config = SolverConfig(lam=1e-2, max_iter=100000, tol=1e-10)
     dspec = DistortionSpec.quantization(3)
     for t in range(20):
         dic = gen_dictionary(500 + t, 4, 6)
@@ -169,7 +169,7 @@ def test_05_singleton_set_degenerates_to_denoiser_bitwise():
     # With no distortion the pre-image is the singleton {x}, and FISTA on it
     # must be plain basis-pursuit denoising: the reference loop on the
     # unprojected residual D alpha - x, step 1/L, the same t-sequence.
-    config = SolverConfig(lam=1e-2, max_iter=200, rel_tol=0.0)
+    config = SolverConfig(lam=1e-2, max_iter=200, tol=0.0)
     matched = 0
     for seed in (40, 41, 42, 43, 44):
         dic = gen_dictionary(seed, 10, 20)
@@ -249,7 +249,7 @@ def test_07_wall_time_ordering_across_solvers():
         seed=0,
         distortion_grid=(DistortionSpec.clipping(0.6),),
         solvers=("ista", "fista", "admm"),
-        solver_config=SolverConfig(lam=1e-2, max_iter=1500, rel_tol=1e-6),
+        solver_config=SolverConfig(lam=1e-2, max_iter=1500, tol=1e-6),
         admm_config=AdmmConfig(max_iter=400),
     )
     rows = run_timing_table(base, clip_thetas=(0.6,), quant_bits=(4,), jobs=1)
@@ -279,7 +279,7 @@ def test_08_accelerated_solver_near_optimal_by_iteration_150():
     # still inside Beck-Teboulle's O(1/k^2) bound. The generator stays
     # unnormalized for the sweeps; only this test rescales the columns.
     t0 = time.perf_counter()
-    config = SolverConfig(lam=1e-2, max_iter=400, rel_tol=0.0)
+    config = SolverConfig(lam=1e-2, max_iter=400, tol=0.0)
     dspec = DistortionSpec.clipping(0.6)
     gaps = []
     for t in range(20):
@@ -308,7 +308,7 @@ def test_09_recovery_curves_have_the_expected_shape():
         trials=25,
         seed=0,
         solvers=("ista", "fista"),
-        solver_config=SolverConfig(lam=1e-2, max_iter=400, rel_tol=1e-6),
+        solver_config=SolverConfig(lam=1e-2, max_iter=400, tol=1e-6),
     )
     declip = ExperimentSpec(
         distortion_grid=tuple(DistortionSpec.clipping(t) for t in (0.2, 0.4, 0.6, 0.8)),

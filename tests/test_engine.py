@@ -62,18 +62,20 @@ def test_a_nan_entry_makes_the_kkt_residual_nan(grad, alpha):
     assert math.isnan(kkt_residual(grad, alpha, 0.1))
 
 
-# At rel_tol 1e-6, quant:6's FISTA run has a single flat iteration, near
-# iteration 350, and no second before the cap of 400, so it checks that one
-# flat iteration does not stop a solve.
+# At tol 1e-6 no run reaches the tolerance by iteration 400, so every screen
+# fails; at tol 1e-3 the three FISTA runs stop as converged at iterations
+# 500-590 and the ISTA runs spend the budget of 600.
 @pytest.mark.parametrize("label", ["clip:0.6", "quant:4", "quant:6"])
-@pytest.mark.parametrize("rel_tol", [0.0, 1e-6])
-def test_engine_matches_the_reference_loop_bit_for_bit(label, rel_tol):
+@pytest.mark.parametrize("tol", [0.0, 1e-6, 1e-3])
+def test_engine_matches_the_reference_loop_bit_for_bit(label, tol):
     dic, iset, x = _protocol_case(0, label)
     step = 1.0 / dic.estimate_lipschitz()
-    config = SolverConfig(lam=1e-2, max_iter=150 if rel_tol == 0.0 else 400, rel_tol=rel_tol)
+    config = SolverConfig(lam=1e-2, max_iter={0.0: 150, 1e-6: 400, 1e-3: 600}[tol], tol=tol)
     for solver, momentum in ((solve_ista, False), (solve_fista, True)):
         ref = reference_loop(dic.matrix, box_residual(iset), config, step, momentum)
-        _assert_same_run(solver(dic, iset, config), ref, config.lam)
+        got = solver(dic, iset, config)
+        _assert_same_run(got, ref, config.lam)
+        assert got[1].converged == (tol == 1e-3 and momentum)
     # denoising: FISTA on the identity's pre-image, the singleton {x}
     ref = reference_loop(dic.matrix, lambda z: z - x, config, step, True)
     denoise = DistortionSpec.identity().preimage(x)
@@ -83,16 +85,16 @@ def test_engine_matches_the_reference_loop_bit_for_bit(label, rel_tol):
 @given(
     dictionaries().flatmap(lambda d: st.tuples(st.just(d), boxes(d.n))),
     st.floats(0, 1),
-    st.sampled_from([0.0, 1e-6]),
+    st.sampled_from([0.0, 1e-5, 1e-2]),
 )
 @settings(max_examples=200, deadline=None)
-def test_engine_matches_the_reference_loop_on_generated_inputs(problem, lam, rel_tol):
+def test_engine_matches_the_reference_loop_on_generated_inputs(problem, lam, tol):
     dic, iset = problem
     try:
         step = 1.0 / dic.estimate_lipschitz()
     except ValueError:
         return  # no representable default step; the robustness suite covers it
-    config = SolverConfig(lam=lam, max_iter=30, rel_tol=rel_tol)
+    config = SolverConfig(lam=lam, max_iter=30, tol=tol)
     for solver, momentum in ((solve_ista, False), (solve_fista, True)):
         alpha, trace = solver(dic, iset, config)
         # the reference loop has no non-finite stop
@@ -122,7 +124,7 @@ def _placed_at(matrix, offset):
 def test_where_the_dictionary_sits_in_memory_never_changes_a_run(label):
     dic, iset, _ = _protocol_case(0, label)
     step = 1.0 / dic.estimate_lipschitz()
-    config = SolverConfig(lam=1e-2, max_iter=150, rel_tol=0.0)
+    config = SolverConfig(lam=1e-2, max_iter=150, tol=0.0)
     for solver, momentum in ((solve_ista, False), (solve_fista, True)):
         got = solver(dic, iset, config)
         for offset in range(8, 64, 8):
@@ -153,7 +155,7 @@ def test_blas_operands_start_on_a_cache_line(monkeypatch, tmp_path):
     checking("synthesize")
     checking("correlate")
     for solver in (solve_ista, solve_fista):
-        solver(dic, iset, SolverConfig(max_iter=5, rel_tol=0.0))
+        solver(dic, iset, SolverConfig(max_iter=5, tol=0.0))
     # per solve five syntheses, and five correlations plus the final one
     assert seen == {"synthesize": 10, "correlate": 12}
     monkeypatch.undo()
@@ -206,30 +208,62 @@ def _count_calls(monkeypatch):
 def test_two_products_per_iteration(monkeypatch, solver, projections_per_iter):
     dic, iset, _ = _protocol_case(2, "clip:0.6")
     dic.estimate_lipschitz()
-    counts = _count_calls(monkeypatch)
     iters = 25
-    _, trace = solver(dic, iset, SolverConfig(max_iter=iters, rel_tol=0.0))
-    assert trace.iterations_run == iters
-    # one final correlation besides the two products; the zero start's
-    # image is written, not synthesized
-    assert counts["synthesize"] == iters
-    assert counts["correlate"] == iters + 1
-    # one initial projection besides those of the iterations
-    assert counts["project"] == projections_per_iter * iters + 1
+    # at the default tol the screens at iterations 10 and 20 run, fail and
+    # reuse the gradient the iteration holds
+    for tol in (0.0, SolverConfig.tol):
+        counts = _count_calls(monkeypatch)
+        _, trace = solver(dic, iset, SolverConfig(max_iter=iters, tol=tol))
+        monkeypatch.undo()
+        assert trace.iterations_run == iters
+        # one final correlation besides the two products; the zero start's
+        # image is written, not synthesized
+        assert counts["synthesize"] == iters
+        assert counts["correlate"] == iters + 1
+        # one initial projection besides those of the iterations
+        assert counts["project"] == projections_per_iter * iters + 1
 
 
 # ----------------------------------------------------------------------
 # stop reasons
 
 
-def _diverging_case(monkeypatch):
-    # a Lipschitz estimate of 1.0, far below the true constant on this
-    # instance, makes the step 1.0, so every solve blows up
-    monkeypatch.setattr(Dictionary, "estimate_lipschitz", lambda self: 1.0)
+def _small_clip_case():
     dic = gen_dictionary(5, 12, 24)
     _, x = gen_sparse_signal(5 + SIGNAL_SEED_OFFSET, dic, 3)
     dspec = DistortionSpec.clipping(0.5)
     return dic, dspec.preimage(dspec.apply(x))
+
+
+def _diverging_case(monkeypatch):
+    # a Lipschitz estimate of 1.0, far below the true constant on this
+    # instance, makes the step 1.0, so every solve blows up
+    monkeypatch.setattr(Dictionary, "estimate_lipschitz", lambda self: 1.0)
+    return _small_clip_case()
+
+
+def test_a_screen_passed_at_the_extrapolated_point_must_hold_at_the_iterate(monkeypatch):
+    # On this instance FISTA's screen at the extrapolated point passes at
+    # least once while the last iterate's KKT residual is still above tol:
+    # the confirm costs one correlation and the run goes on. The confirm
+    # that passes is the exit's correlation, so no other is made.
+    dic, iset = _small_clip_case()
+    dic.estimate_lipschitz()
+    counts = _count_calls(monkeypatch)
+    config = SolverConfig(max_iter=5000)
+    alpha, trace = solve_fista(dic, iset, config)
+    monkeypatch.undo()
+    assert trace.stop_reason == "converged"
+    assert trace.iterations_run % 10 == 0
+    assert counts["synthesize"] == trace.iterations_run
+    # the iterations, the screen's at the stop and the confirm
+    failed_confirms = counts["correlate"] - (trace.iterations_run + 2)
+    assert failed_confirms >= 1
+    assert trace.kkt_residual_final <= config.tol
+    assert certificate(dic, iset, alpha, config.lam) == (
+        trace.objective_per_iter[-1],
+        trace.kkt_residual_final,
+    )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

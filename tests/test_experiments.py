@@ -44,7 +44,7 @@ def _small_spec(**overrides):
         seed=5,
         distortion_grid=(DistortionSpec.clipping(0.5), DistortionSpec.quantization(3)),
         solvers=("ista", "fista"),
-        solver_config=SolverConfig(lam=1e-2, max_iter=50, rel_tol=0.0),
+        solver_config=SolverConfig(lam=1e-2, max_iter=50, tol=0.0),
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -298,7 +298,7 @@ def test_sweep_is_deterministic_and_ordered():
     for s in a.per_point:
         assert math.isfinite(s.mean_snr_db)
         assert s.std_snr_db >= 0.0
-        assert s.mean_iterations == 50.0  # rel_tol=0 always runs the full budget
+        assert s.mean_iterations == 50.0  # tol=0 runs the full budget here
 
 
 def test_a_numpy_integer_seed_sweeps_like_its_python_twin(tmp_path):

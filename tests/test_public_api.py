@@ -58,7 +58,7 @@ def test_each_config_has_exactly_its_settable_fields():
     def names(cls):
         return tuple(f.name for f in dataclasses.fields(cls))
 
-    assert names(SolverConfig) == ("lam", "max_iter", "rel_tol")
+    assert names(SolverConfig) == ("lam", "max_iter", "tol")
     assert names(AdmmConfig) == ("max_iter",)
     assert names(ExperimentSpec) == (
         "n",

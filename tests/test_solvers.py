@@ -34,7 +34,7 @@ def _clip_instance(seed, n=12, m=24, k=3, theta=0.5):
 
 def _one_ista_step(dic, iset, lam):
     """A single forward-backward update from the zero vector."""
-    cfg = SolverConfig(lam=lam, max_iter=1, rel_tol=0.0)
+    cfg = SolverConfig(lam=lam, max_iter=1, tol=0.0)
     out, _ = solve_ista(dic, iset, cfg)
     return out
 
@@ -113,7 +113,7 @@ def test_ista_objective_is_monotone():
         dic, iset, _ = _clip_instance(seed)
         start = np.zeros(dic.m)
         for lam in (1e-1, 1e-2, 1e-3):
-            cfg = SolverConfig(lam=lam, max_iter=300, rel_tol=0.0)
+            cfg = SolverConfig(lam=lam, max_iter=300, tol=0.0)
             _, trace = solve_ista(dic, iset, cfg)
             objectives = trace.objective_per_iter
             assert objectives[0] <= certificate(dic, iset, start, lam)[0] + 1e-12
@@ -123,7 +123,7 @@ def test_ista_objective_is_monotone():
 def test_first_accelerated_iterate_is_a_plain_step():
     # momentum only kicks in from the second iteration
     dic, iset, _ = _clip_instance(24)
-    cfg = SolverConfig(lam=1e-2, max_iter=1, rel_tol=0.0)
+    cfg = SolverConfig(lam=1e-2, max_iter=1, tol=0.0)
     alpha_fista, _ = solve_fista(dic, iset, cfg)
     expected = _one_ista_step(dic, iset, 1e-2)
     np.testing.assert_array_equal(alpha_fista, expected)
@@ -132,7 +132,7 @@ def test_first_accelerated_iterate_is_a_plain_step():
 def test_trace_shape_matches_iterations_run():
     dic, iset, _ = _clip_instance(25)
     for solver in (solve_ista, solve_fista):
-        _, trace = solver(dic, iset, SolverConfig(max_iter=7, rel_tol=0.0))
+        _, trace = solver(dic, iset, SolverConfig(max_iter=7, tol=0.0))
         assert trace.iterations_run == 7
         assert len(trace.objective_per_iter) == 7
         assert not trace.converged
@@ -142,10 +142,12 @@ def test_trace_shape_matches_iterations_run():
 
 def test_converged_run_reports_convergence():
     dic, iset, _ = _clip_instance(46)
-    _, trace = solve_fista(dic, iset, SolverConfig(max_iter=100000, rel_tol=1e-9))
+    config = SolverConfig(max_iter=100000)
+    _, trace = solve_fista(dic, iset, config)
     assert trace.converged
     assert trace.stop_reason == "converged"
     assert trace.iterations_run < 100000
+    assert trace.kkt_residual_final <= config.tol
 
 
 def test_all_solvers_reject_mismatched_set_length():
@@ -204,9 +206,10 @@ def test_tighter_tolerance_never_worsens_kkt_residual():
     for seed in (8000, 8001, 8002, 8003, 8004):
         dic, iset, _ = _clip_instance(seed)
         kkts = []
-        for rel_tol in (1e-4, 1e-6, 1e-8):
-            cfg = SolverConfig(lam=1e-2, max_iter=200000, rel_tol=rel_tol)
+        for tol in (1e-4, 1e-6, 1e-8):
+            cfg = SolverConfig(lam=1e-2, max_iter=200000, tol=tol)
             _, trace = solve_fista(dic, iset, cfg)
+            assert trace.kkt_residual_final <= tol
             kkts.append(trace.kkt_residual_final)
         assert kkts[0] + 1e-12 >= kkts[1] >= kkts[2] - 1e-12
 
@@ -216,7 +219,7 @@ def test_vanishing_penalty_drives_iterates_toward_the_set():
         dic, iset, _ = _clip_instance(seed)
         dists = []
         for lam in (1e-1, 1e-2, 1e-3, 1e-4):
-            cfg = SolverConfig(lam=lam, max_iter=200000, rel_tol=1e-12)
+            cfg = SolverConfig(lam=lam, max_iter=200000, tol=1e-12)
             alpha, _ = solve_fista(dic, iset, cfg)
             # with lam = 0 the objective is half the squared distance
             dists.append(2.0 * certificate(dic, iset, alpha, 0.0)[0])
@@ -234,20 +237,21 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
-        SolverConfig(rel_tol=-1e-3)
+        SolverConfig(tol=-1e-3)
     for bad in (
         dict(lam=math.nan),
         dict(lam=math.inf),
-        dict(rel_tol=math.nan),
+        dict(tol=math.nan),
+        dict(tol=math.inf),
         dict(max_iter=2.5),
         dict(max_iter=400.0),
         dict(lam="0.1"),
         dict(lam=None),
-        dict(rel_tol="0"),
-        dict(rel_tol=None),
+        dict(tol="0"),
+        dict(tol=None),
         dict(max_iter=True),
         dict(lam=True),
-        dict(rel_tol=False),
+        dict(tol=False),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
@@ -263,7 +267,7 @@ def test_solver_config_validation():
 
 def test_result_json_round_trip():
     dic, iset, _ = _clip_instance(46)
-    alpha, trace = solve_fista(dic, iset, SolverConfig(max_iter=20, rel_tol=0.0))
+    alpha, trace = solve_fista(dic, iset, SolverConfig(max_iter=20, tol=0.0))
     fields = json.loads(json.dumps(result_to_json_obj(alpha, trace)))
     np.testing.assert_array_equal(fields["alpha"], alpha)
     assert fields["iterations"] == trace.iterations_run
