@@ -29,7 +29,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import DimensionMismatch, InnerProjectionError
+from .errors import DimensionMismatch
 from .feasibility import IntervalSet, _count, _real
 from .operators import Dictionary, _aligned_empty
 
@@ -38,12 +38,13 @@ from .operators import Dictionary, _aligned_empty
 _KKT_EVERY = 10
 
 # The constrained baseline's fixed settings: the nested projection's round
-# budget and primal-residual tolerance, and the tolerances of the combined
-# stopping test on the outer residuals.
+# budget and primal-residual tolerance, the residual above which (or at NaN)
+# a projection has stalled, and the one tolerance of the combined stopping
+# test on the outer residuals.
 _INNER_ITERS = 50
 _INNER_TOL = 1e-8
-_OUTER_ABS_TOL = 1e-6
-_OUTER_REL_TOL = 1e-6
+_STALL_RES = 1e-3
+_OUTER_TOL = 1e-6
 
 
 def soft_threshold(rho: float, v: np.ndarray) -> np.ndarray:
@@ -321,18 +322,16 @@ def cho_solve(factor, x: np.ndarray) -> np.ndarray:
     return dtrsv(c, x, lower=1, trans=1, overwrite_x=1)
 
 
-def inner_projection(dictionary: Dictionary, iset: IntervalSet, u: np.ndarray) -> np.ndarray:
+def inner_projection(dictionary: Dictionary, iset: IntervalSet, u: np.ndarray):
     """Euclidean projection of u onto ``{beta : D beta in C}`` by splitting.
 
     Alternates a ridge solve against the cached factorization of
     ``I + D^T D`` (a penalty of 1) with a box projection of the synthesized
-    image, for at most ``_INNER_ITERS`` rounds. Stops early when the primal
-    residual ``||D beta - z||`` is at most ``_INNER_TOL``; raises
-    :class:`InnerProjectionError` if after the full budget the residual is
-    still above 1e-3 or not a number, since a point that far from the
-    constraint would poison the outer iteration silently. The vectors of a
-    round, the returned point among them, live in 64-byte-aligned buffers
-    allocated once per call.
+    image, for at most ``_INNER_ITERS`` rounds, and stops early when the
+    primal residual ``||D beta - z||`` is at most ``_INNER_TOL``. Returns
+    ``(beta, res)``: the point and the primal residual of its last round,
+    which the caller judges. The vectors of a round, the returned point
+    among them, live in 64-byte-aligned buffers allocated once per call.
     """
     factor = dictionary.ridge_cho_factor(1.0)
     z = iset.project(dictionary.synthesize(u))
@@ -356,11 +355,7 @@ def inner_projection(dictionary: Dictionary, iset: IntervalSet, u: np.ndarray) -
         res = float(np.linalg.norm(diff))
         if res <= _INNER_TOL:
             break
-    if not res <= 1e-3:
-        raise InnerProjectionError(
-            f"projection stalled with primal residual {res:.3e} after {_INNER_ITERS} rounds"
-        )
-    return beta
+    return beta, res
 
 
 def solve_admm_constrained(
@@ -381,10 +376,16 @@ def solve_admm_constrained(
     to the inner tolerance. The trace objective history is, per outer
     iteration, the l1 norm of the point the run would return if it stopped
     there; the final residual field holds ``max(primal, dual)`` at exit.
+
+    The loop makes every stop decision: ``inner_stall`` when a projection's
+    last residual is above ``_STALL_RES`` or NaN, since a point that far
+    from the constraint would poison the iteration silently (the outer
+    iteration is then not recorded); ``converged`` on the combined
+    primal/dual test; ``max_iter`` otherwise.
     """
     _check_set_length(dictionary, iset)
     m = dictionary.m
-    abs_floor = math.sqrt(m) * _OUTER_ABS_TOL
+    abs_floor = math.sqrt(m) * _OUTER_TOL
     dictionary.ridge_cho_factor(1.0)  # setup, off the clock
 
     t_start = perf_counter()
@@ -400,19 +401,18 @@ def solve_admm_constrained(
     for _ in range(config.max_iter):
         alpha = soft_threshold(1.0, beta - v)
         beta_prev = beta
-        try:
-            beta = inner_projection(dictionary, iset, alpha + v)
-        except InnerProjectionError:
+        beta, res = inner_projection(dictionary, iset, alpha + v)
+        if not res <= _STALL_RES:
             stop_reason = "inner_stall"
             break
         v = v + alpha - beta
 
         r_pri = float(np.linalg.norm(alpha - beta))
         s_dual = float(np.linalg.norm(beta - beta_prev))
-        eps_pri = abs_floor + _OUTER_REL_TOL * max(
+        eps_pri = abs_floor + _OUTER_TOL * max(
             float(np.linalg.norm(alpha)), float(np.linalg.norm(beta))
         )
-        eps_dual = abs_floor + _OUTER_REL_TOL * float(np.linalg.norm(v))
+        eps_dual = abs_floor + _OUTER_TOL * float(np.linalg.norm(v))
         last_residual = max(r_pri, s_dual)
         if r_pri < best_r_pri:
             best_r_pri = r_pri

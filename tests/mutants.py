@@ -12,9 +12,10 @@ them fails or ``survived`` when all pass (``error`` when pytest could not
 run them). A survivor is a test that does not check what it claims. The
 working tree is never changed.
 
-pytest does not collect this file. ``tests/test_mutant_list.py`` checks only
-that every old text still occurs exactly once in its file, so a refactor
-that moves mutated code must update the list here.
+pytest does not collect this file. ``tests/test_mutant_list.py`` checks that
+every old text still occurs exactly once in its file and that every test a
+mutant names still exists, so a refactor that moves mutated code or renames
+a test must update the list here.
 """
 
 from __future__ import annotations
@@ -238,6 +239,15 @@ MUTANTS = (
         "upper = b > 1.0 - _EXP_M2",
         "upper = b >= 1.0 - _EXP_M2",
         ("tests/test_experiments.py::test_ndtri_matches_scipy_at_its_branch_boundaries",),
+    ),
+    Mutant(
+        "the stall test written as res > _STALL_RES, which lets a NaN residual through",
+        SOLVERS,
+        "        if not res <= _STALL_RES:\n",
+        "        if res > _STALL_RES:\n",
+        (
+            "tests/test_admm.py::test_a_stalled_projection_ends_the_solve_at_the_best_point_before_it",
+        ),
     ),
 )
 

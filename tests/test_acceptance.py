@@ -192,8 +192,7 @@ def test_06_constrained_baseline_matches_linear_program(monkeypatch):
     for name, value in (
         ("_INNER_ITERS", 100),
         ("_INNER_TOL", 1e-10),
-        ("_OUTER_ABS_TOL", 1e-8),
-        ("_OUTER_REL_TOL", 1e-8),
+        ("_OUTER_TOL", 1e-8),
     ):
         monkeypatch.setattr(solvers, name, value)
     config = AdmmConfig(max_iter=12000)

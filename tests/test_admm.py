@@ -22,7 +22,6 @@ from sparse_consist import (
 )
 from sparse_consist import operators, solvers
 from sparse_consist.cli import result_to_json_obj
-from sparse_consist.errors import InnerProjectionError
 from sparse_consist.solvers import inner_projection
 
 PROTOCOL = dict(n=256, m=512, k_sparse=16)
@@ -41,10 +40,9 @@ def _inner_budget(monkeypatch, iters, tol):
     monkeypatch.setattr(solvers, "_INNER_TOL", tol)
 
 
-def _outer_tolerances(monkeypatch, abs_tol, rel_tol):
-    """Give the outer loop's stopping test other tolerances."""
-    monkeypatch.setattr(solvers, "_OUTER_ABS_TOL", abs_tol)
-    monkeypatch.setattr(solvers, "_OUTER_REL_TOL", rel_tol)
+def _outer_tolerance(monkeypatch, tol):
+    """Give the outer loop's stopping test another tolerance."""
+    monkeypatch.setattr(solvers, "_OUTER_TOL", tol)
 
 
 def _assert_in_box(iset, x, tol):
@@ -89,7 +87,7 @@ def test_projection_of_feasible_point_is_identity(monkeypatch):
     img = dic.synthesize(u)
     iset = IntervalSet(img - 1.0, img + 1.0)  # u is strictly interior
     _inner_budget(monkeypatch, 50, 1e-12)
-    out = inner_projection(dic, iset, u)
+    out, _ = inner_projection(dic, iset, u)
     np.testing.assert_allclose(out, u, atol=1e-12)
 
 
@@ -104,7 +102,7 @@ def test_projection_with_orthogonal_dictionary_matches_closed_form(monkeypatch):
         u = rng.standard_normal(6) * 2
         img = dic.synthesize(u)
         expected = u + dic.correlate(iset.project(img) - img)
-        out = inner_projection(dic, iset, u)
+        out, _ = inner_projection(dic, iset, u)
         np.testing.assert_allclose(out, expected, atol=1e-8)
 
 
@@ -120,7 +118,7 @@ def test_projection_matches_quadratic_program_oracle(monkeypatch):
         iset = dspec.preimage(dspec.apply(x))
         u = rng.standard_normal(6)
 
-        beta = inner_projection(dic, iset, u)
+        beta, _ = inner_projection(dic, iset, u)
 
         # min ||b - u||^2 over D b in the box: the point rows are equalities
         # and the finite faces of the others inequalities
@@ -146,23 +144,25 @@ def test_projection_result_is_feasible(monkeypatch):
         dic, iset = _clip_instance(seed)
         rng = np.random.Generator(np.random.PCG64(seed))
         u = rng.standard_normal(dic.m) * 3
-        beta = inner_projection(dic, iset, u)
+        beta, _ = inner_projection(dic, iset, u)
         _assert_in_box(iset, dic.synthesize(beta), tol=1e-8)
 
 
-def test_projection_raises_when_budget_cannot_reach_the_set(monkeypatch):
+def test_projection_residual_misses_the_stall_bound_when_budget_cannot_reach_the_set(
+    monkeypatch,
+):
     dic = gen_dictionary(60, 6, 10)
     far = IntervalSet(np.full(6, 50.0), np.full(6, 50.0))
     _inner_budget(monkeypatch, 1, 1e-14)
-    with pytest.raises(InnerProjectionError):
-        inner_projection(dic, far, np.zeros(10))
+    _, res = inner_projection(dic, far, np.zeros(10))
+    assert res > 1e-3
 
 
-def test_projection_of_a_non_finite_point_is_a_stall(monkeypatch):
+def test_projection_of_a_non_finite_point_returns_a_nan_residual(monkeypatch):
     dic, iset = _clip_instance(68)
     _inner_budget(monkeypatch, 5, 1e-8)
-    with pytest.raises(InnerProjectionError):
-        inner_projection(dic, iset, np.full(dic.m, np.nan))
+    _, res = inner_projection(dic, iset, np.full(dic.m, np.nan))
+    assert math.isnan(res)
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +174,8 @@ def _reference_inner_projection(dictionary, iset, u, iters, tol):
     every round and scipy's ``cho_solve`` (LAPACK ``potrs``) for the ridge
     solve. Kept as the reference the lean round must match to rounding.
 
-    Returns ``(beta, rounds, stalled)``.
+    Returns ``(beta, res, rounds, stalled)``, with the stall decided by the
+    reference's own bound of 1e-3.
     """
     factor = dictionary.ridge_cho_factor(1.0)
     matrix = dictionary.matrix
@@ -191,7 +192,7 @@ def _reference_inner_projection(dictionary, iset, u, iters, tol):
         rounds += 1
         if res <= tol:
             break
-    return beta, rounds, not res <= 1e-3
+    return beta, res, rounds, not res <= 1e-3
 
 
 def _protocol_case(seed, label):
@@ -222,13 +223,12 @@ def test_inner_projection_matches_the_reference_round(monkeypatch, seed, label):
     rng = np.random.Generator(np.random.PCG64(seed))
     rounds = _counting_solves(monkeypatch)
     for u in (np.zeros(dic.m), 0.1 * rng.standard_normal(dic.m)):
-        ref_beta, ref_rounds, ref_stalled = _reference_inner_projection(dic, iset, u, iters, tol)
+        ref_beta, _, ref_rounds, ref_stalled = _reference_inner_projection(
+            dic, iset, u, iters, tol
+        )
         rounds.clear()
-        try:
-            beta = inner_projection(dic, iset, u)
-            stalled = False
-        except InnerProjectionError:
-            beta, stalled = None, True
+        beta, res = inner_projection(dic, iset, u)
+        stalled = not res <= solvers._STALL_RES
         assert len(rounds) == ref_rounds
         assert stalled == ref_stalled
         if not stalled:
@@ -246,10 +246,8 @@ def test_admm_matches_the_reference_round_in_stops(monkeypatch, seed, label):
 
     def reference(*args):
         budget = (solvers._INNER_ITERS, solvers._INNER_TOL)
-        ref_beta, _, stalled = _reference_inner_projection(*args, *budget)
-        if stalled:
-            raise InnerProjectionError("reference round stalled")
-        return ref_beta
+        ref_beta, res, _, _ = _reference_inner_projection(*args, *budget)
+        return ref_beta, res
 
     monkeypatch.setattr(solvers, "inner_projection", reference)
     ref_beta, ref_trace = solve_admm_constrained(dic, iset, config)
@@ -312,7 +310,7 @@ def test_zero_target_returns_zero_coefficients():
 
 def test_matches_linear_program_oracle(monkeypatch):
     _inner_budget(monkeypatch, 100, 1e-10)
-    _outer_tolerances(monkeypatch, 1e-7, 1e-7)
+    _outer_tolerance(monkeypatch, 1e-7)
     config = AdmmConfig(max_iter=4000)
     for seed in (100, 101, 102):
         dic, iset = _clip_instance(seed)
@@ -324,7 +322,7 @@ def test_matches_linear_program_oracle(monkeypatch):
 
 def test_trace_records_l1_history(monkeypatch):
     dic, iset = _clip_instance(66)
-    _outer_tolerances(monkeypatch, 0.0, 0.0)
+    _outer_tolerance(monkeypatch, 0.0)
     _, trace = solve_admm_constrained(dic, iset, AdmmConfig(max_iter=30))
     assert trace.iterations_run == 30
     assert len(trace.objective_per_iter) == 30
@@ -373,6 +371,35 @@ def test_unreachable_inner_budget_reports_failure_not_exception(monkeypatch):
     assert trace.stop_reason == "inner_stall"
     assert trace.iterations_run == len(trace.objective_per_iter)
     assert beta.shape == (dic.m,)
+
+
+@pytest.mark.parametrize("stall_res", [math.nan, 2e-3])
+def test_a_stalled_projection_ends_the_solve_at_the_best_point_before_it(monkeypatch, stall_res):
+    # the k-th projection returns its point with a residual that misses the
+    # stall bound: the solve stops there, records the k - 1 iterations
+    # before it, and returns the best of their points, as a solve given a
+    # budget of k - 1 does
+    dic, iset = _clip_instance(66)
+    _outer_tolerance(monkeypatch, 0.0)
+    k = 4
+    ref_beta, ref_trace = solve_admm_constrained(dic, iset, AdmmConfig(max_iter=k - 1))
+    assert ref_trace.stop_reason == "max_iter"
+
+    calls = []
+    original = solvers.inner_projection
+
+    def stalling(*args):
+        calls.append(1)
+        beta, res = original(*args)
+        return beta, stall_res if len(calls) == k else res
+
+    monkeypatch.setattr(solvers, "inner_projection", stalling)
+    beta, trace = solve_admm_constrained(dic, iset, AdmmConfig(max_iter=50))
+    assert trace.stop_reason == "inner_stall"
+    assert len(calls) == k
+    assert len(trace.objective_per_iter) == k - 1
+    assert trace.objective_per_iter.tobytes() == ref_trace.objective_per_iter.tobytes()
+    assert beta.tobytes() == ref_beta.tobytes()
 
 
 def test_rejects_mismatched_set_length():

@@ -15,7 +15,12 @@ are not listed. Code that runs only in a child process, such as
 ``python -m sparse_consist``, is not traced, so it is listed.
 
 Besides pytest it uses the standard library only. The line tracer makes
-the suite take about 1.7 times as long (204 s against 121 s, 2 cores).
+the suite take about 1.7 times as long (204 s against 121 s, 2 cores). It
+slows the Python-bound relaxed loop more than ADMM's BLAS-bound rounds, so
+``test_acceptance.py::test_07``, which needs ADMM at least 20 times slower
+than FISTA, can fail under it (18 and 19 times were measured); the
+statement list is still valid, since a failing test still records the
+lines it ran.
 pytest does not collect this file. It is not named ``coverage.py``,
 because ``tests/`` is on ``sys.path`` and that name would shadow the
 package of the same name.
