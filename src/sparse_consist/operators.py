@@ -10,13 +10,18 @@ point ``{y}``.
 The dictionary's helpers, :func:`power_iteration_gram` behind its Lipschitz
 constant (one exact eigenvalue solve, whatever the name says) and
 :func:`cho_factor` behind its ridge factors, are this module's own; the
-package does not export them.
+package does not export them. The ridge factor and solve call scipy's
+compiled LAPACK and BLAS modules, which :func:`_scipy_compiled` loads at
+the first of them without importing the scipy.linalg package.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,16 +105,45 @@ def _max_abs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix)))
 
 
+def _scipy_compiled(name: str):
+    """scipy.linalg's compiled module ``name``, ``_flapack`` or ``_fblas``.
+
+    The module is loaded from scipy's ``linalg`` directory on the first
+    call, without running ``scipy/linalg/__init__.py``, whose import costs
+    a fresh process many times more than the compiled module alone (README,
+    "What a process loads"). It is registered in ``sys.modules`` under its
+    own name, which is its cache, so a later ``import scipy.linalg`` reuses
+    it, and one that such an import already loaded is taken from there.
+    """
+    full = "scipy.linalg." + name
+    module = sys.modules.get(full)
+    if module is None:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(full, [str(Path(scipy_dir) / "linalg")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    return module
+
+
 def cho_factor(a: np.ndarray):
     """Lower Cholesky factor ``(c, True)`` of the F-ordered matrix ``a``,
-    computed in place by scipy's ``cho_factor``.
+    computed in place by LAPACK ``dpotrf``.
 
-    scipy.linalg is imported here, on the first factorization, so that a
-    process which never runs the ADMM baseline does not load it.
+    It is the call that scipy's ``cho_factor(a, lower=True,
+    overwrite_a=True, check_finite=False)`` makes, so the factor is scipy's
+    bit for bit, and it refuses what that refuses: ``np.linalg.LinAlgError``
+    when a leading minor is not positive definite, ValueError when LAPACK
+    rejects an argument.
     """
-    from scipy.linalg import cho_factor
-
-    return cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+    c, info = _scipy_compiled("_flapack").dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info} of POTRF")
+    return c, True
 
 
 class Dictionary:

@@ -16,9 +16,11 @@ projecting onto a point returns it exactly, so the residual is
 
 The baseline's nested projection, :func:`inner_projection`, and its ridge
 solve, :func:`cho_solve`, are this module's own; the package does not
-export them. The baseline's one setting is ``AdmmConfig.max_iter``; its
-penalties are 1, and its inner budget and tolerances are constants. A
-result's JSON form belongs to :mod:`sparse_consist.cli`.
+export them. The ridge solve calls scipy's compiled BLAS, loaded at its
+first call without the scipy.linalg package. The baseline's one setting is
+``AdmmConfig.max_iter``; its penalties are 1, and its inner budget and
+tolerances are constants. A result's JSON form belongs to
+:mod:`sparse_consist.cli`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .feasibility import IntervalSet, _count, _real
-from .operators import Dictionary, _aligned_empty
+from .operators import Dictionary, _aligned_empty, _scipy_compiled
 
 # The proximal solvers screen their KKT residual once in this many
 # iterations, which keeps the screens near 1% of a solve's time.
@@ -39,7 +41,8 @@ _KKT_EVERY = 10
 
 # The constrained baseline's fixed settings: the nested projection's round
 # budget and primal-residual tolerance, the residual above which (or at NaN)
-# a projection has stalled, and the one tolerance of the combined stopping
+# a projection has stalled, per unit of the box's largest finite bound
+# magnitude (at least 1), and the one tolerance of the combined stopping
 # test on the outer residuals.
 _INNER_ITERS = 50
 _INNER_TOL = 1e-8
@@ -311,11 +314,10 @@ def cho_solve(factor, x: np.ndarray) -> np.ndarray:
     matrix-matrix ``trsm`` is slower on a one-column right-hand side.
     ``trsv`` writes in place only into a contiguous float64 x, and
     otherwise into a copy that it returns; it reads the factor in place
-    only when it is F-contiguous. scipy.linalg is imported on the first
-    call, not with this module.
+    only when it is F-contiguous. It is scipy's compiled ``dtrsv``, loaded
+    on the first call without the scipy.linalg package.
     """
-    from scipy.linalg.blas import dtrsv
-
+    dtrsv = _scipy_compiled("_fblas").dtrsv
     c, lower = factor
     assert lower, "cho_solve reads only the lower factor"
     x = dtrsv(c, x, lower=1, trans=0, overwrite_x=1)
@@ -378,14 +380,17 @@ def solve_admm_constrained(
     there; the final residual field holds ``max(primal, dual)`` at exit.
 
     The loop makes every stop decision: ``inner_stall`` when a projection's
-    last residual is above ``_STALL_RES`` or NaN, since a point that far
-    from the constraint would poison the iteration silently (the outer
-    iteration is then not recorded); ``converged`` on the combined
+    last residual is above ``_STALL_RES`` times the box's largest finite
+    bound magnitude (times 1 when that is below 1), or NaN, since a point
+    that far from the constraint would poison the iteration silently (the
+    outer iteration is then not recorded); ``converged`` on the combined
     primal/dual test; ``max_iter`` otherwise.
     """
     _check_set_length(dictionary, iset)
     m = dictionary.m
     abs_floor = math.sqrt(m) * _OUTER_TOL
+    bounds = np.abs(np.concatenate((iset.lower, iset.upper)))
+    stall_res = _STALL_RES * max(1.0, float(bounds[np.isfinite(bounds)].max(initial=0.0)))
     dictionary.ridge_cho_factor(1.0)  # setup, off the clock
 
     t_start = perf_counter()
@@ -402,7 +407,7 @@ def solve_admm_constrained(
         alpha = soft_threshold(1.0, beta - v)
         beta_prev = beta
         beta, res = inner_projection(dictionary, iset, alpha + v)
-        if not res <= _STALL_RES:
+        if not res <= stall_res:
             stop_reason = "inner_stall"
             break
         v = v + alpha - beta

@@ -241,13 +241,27 @@ MUTANTS = (
         ("tests/test_experiments.py::test_ndtri_matches_scipy_at_its_branch_boundaries",),
     ),
     Mutant(
-        "the stall test written as res > _STALL_RES, which lets a NaN residual through",
+        "the stall test written as res > stall_res, which lets a NaN residual through",
         SOLVERS,
-        "        if not res <= _STALL_RES:\n",
-        "        if res > _STALL_RES:\n",
+        "        if not res <= stall_res:\n",
+        "        if res > stall_res:\n",
         (
             "tests/test_admm.py::test_a_stalled_projection_ends_the_solve_at_the_best_point_before_it",
         ),
+    ),
+    Mutant(
+        "the stall bound not scaled by the box",
+        SOLVERS,
+        "stall_res = _STALL_RES * max(1.0, float(bounds[np.isfinite(bounds)].max(initial=0.0)))",
+        "stall_res = _STALL_RES * 1.0",
+        ("tests/test_admm.py::test_the_stall_bound_scales_with_the_box",),
+    ),
+    Mutant(
+        "the ridge factor computed in the upper triangle",
+        OPERATORS,
+        "dpotrf(a, lower=1, clean=0, overwrite_a=1)",
+        "dpotrf(a, lower=0, clean=0, overwrite_a=1)",
+        ("tests/test_admm.py::test_ridge_factor_and_solve_are_scipys_bit_for_bit",),
     ),
 )
 

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsv
 from scipy.optimize import linprog, minimize
 from scipy.stats import ortho_group
 
@@ -288,6 +289,37 @@ def test_cho_solve_results_start_on_a_cache_line(monkeypatch):
     assert set(seen) == {(0, True)}
 
 
+def test_ridge_factor_and_solve_are_scipys_bit_for_bit(monkeypatch):
+    # the package calls scipy's compiled dpotrf and dtrsv without the
+    # scipy.linalg package; scipy's own functions are the oracle
+    factored = []
+    original = operators.cho_factor
+
+    def recording(a):
+        address = a.ctypes.data
+        c, lower = original(a)
+        factored.append((c is a, address))
+        return c, lower
+
+    monkeypatch.setattr(operators, "cho_factor", recording)
+    dic = gen_dictionary(0, PROTOCOL["n"], PROTOCOL["m"])
+    c, lower = dic.ridge_cho_factor(1.0)
+    d = dic.matrix
+    want, _ = cho_factor(d.T @ d + np.eye(dic.m), lower=True, check_finite=False)
+    assert lower
+    assert np.tril(c).tobytes() == np.tril(want).tobytes()
+    # F-ordered and aligned, so trsv reads it in place at full speed, and
+    # factored in place in the Gram buffer
+    assert c.flags["F_CONTIGUOUS"]
+    assert c.ctypes.data % 64 == 0
+    assert factored == [(True, c.ctypes.data)]
+
+    rhs = np.random.Generator(np.random.PCG64(72)).standard_normal(dic.m)
+    got = solvers.cho_solve((c, True), rhs.copy())
+    half = dtrsv(c, rhs, lower=1, trans=0)
+    assert got.tobytes() == dtrsv(c, half, lower=1, trans=1).tobytes()
+
+
 def test_ridge_factor_is_fortran_ordered():
     # trsv reads a Fortran-ordered factor in place; any other layout would
     # be copied, M x M doubles, on every solve
@@ -400,6 +432,18 @@ def test_a_stalled_projection_ends_the_solve_at_the_best_point_before_it(monkeyp
     assert len(trace.objective_per_iter) == k - 1
     assert trace.objective_per_iter.tobytes() == ref_trace.objective_per_iter.tobytes()
     assert beta.tobytes() == ref_beta.tobytes()
+
+
+def test_the_stall_bound_scales_with_the_box():
+    # a point box at 1e150: every projection's residual is near 1e134, far
+    # above 1e-3 but a tiny fraction of the box, so the solve runs on
+    # instead of stalling at once with all zeros
+    dic = gen_dictionary(3, 12, 24)
+    x = np.full(12, 1e150)
+    beta, trace = solve_admm_constrained(dic, IntervalSet(x, x), AdmmConfig(max_iter=20))
+    assert trace.stop_reason == "max_iter"
+    assert trace.iterations_run == 20
+    assert np.abs(beta).max() > 1e140
 
 
 def test_rejects_mismatched_set_length():
