@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .experiments import (
     write_results_csv,
     write_timing_csv,
 )
-from .operators import Dictionary, DistortionSpec, _load_text
+from .operators import Dictionary, DistortionSpec
 from .solvers import AdmmConfig, SolverConfig, SolverTrace
 
 # The sweep subcommands: (name, distortion kind, default grid, grid help,
@@ -115,7 +116,7 @@ def cmd_gen(args) -> int:
     y = dspec.apply(x)
     os.makedirs(out, exist_ok=True)  # after every input check, so a refusal leaves nothing
 
-    dictionary.save(os.path.join(out, "dictionary.bin"))
+    dictionary.save(os.path.join(out, "dictionary.npy"))
     np.savetxt(os.path.join(out, "alpha_true.txt"), alpha, fmt="%.18e")
     np.savetxt(os.path.join(out, "x_clean.txt"), x, fmt="%.18e")
     np.savetxt(os.path.join(out, "y.txt"), y, fmt="%.18e")
@@ -126,7 +127,7 @@ def cmd_gen(args) -> int:
         "seed": args.seed,
         "distortion": dspec.label(),
         "files": {
-            "dictionary": "dictionary.bin",
+            "dictionary": "dictionary.npy",
             "alpha_true": "alpha_true.txt",
             "x_clean": "x_clean.txt",
             "observation": "y.txt",
@@ -137,13 +138,23 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _load_column(path) -> np.ndarray:
+    """The numbers of a one-column text file; one with no numbers (which
+    ``np.loadtxt`` only warns about) or more columns is malformed input."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        values = np.loadtxt(path, ndmin=1)
+    if values.size == 0:
+        raise ValueError(f"{path}: holds no numbers")
+    if values.ndim != 1:
+        raise ValueError(f"{path}: expected a single column of numbers")
+    return values
+
+
 def cmd_solve(args) -> int:
     _check_out_dir(args.out)
-    load = Dictionary.from_csv if args.dict.endswith(".csv") else Dictionary.load
-    dictionary = load(args.dict)
-    y = _load_text(args.observation, ndmin=1)
-    if y.ndim != 1:
-        raise ValueError(f"{args.observation}: expected a single column of numbers")
+    dictionary = Dictionary.load(args.dict)
+    y = _load_column(args.observation)
     dspec = DistortionSpec.parse(args.distortion)
     iset = dspec.preimage(y)
     coeffs, trace = run_solver(args.solver, dictionary, iset, *_solver_configs(args))
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", formatter_class=fmt,
                        help="run one solver on one instance")
     p.add_argument("--dict", required=True,
-                   help="dictionary file (.csv as text, anything else as binary)")
+                   help="dictionary file, an N x M matrix in numpy's .npy format")
     p.add_argument("--observation", required=True, help="observed signal, one value per line")
     p.add_argument("--distortion", required=True,
                    help="clip:THETA or quant:NBITS; clip:inf is no distortion")

@@ -20,9 +20,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-import struct
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,9 +42,6 @@ LEVEL_TOL = 1e-9
 # are exact in float64; at 54 bits a pre-image can miss the signal that
 # produced it.
 MAX_BITS = 52
-
-_MAGIC = b"SPCD"
-_FORMAT_VERSION = 1
 
 # Bytes in a cache line. OpenBLAS's AVX-512 matrix-vector kernels read a
 # matrix that starts on one a quarter faster than one that does not.
@@ -279,40 +274,25 @@ class Dictionary:
     # serialization
 
     def save(self, path) -> None:
-        """Write the binary format: magic, version, N, M, row-major float64."""
-        header = _MAGIC + struct.pack("<III", _FORMAT_VERSION, self.n, self.m)
-        payload = self._matrix.astype("<f8", copy=False).tobytes(order="C")
-        Path(path).write_bytes(header + payload)
+        """Write the matrix in numpy's ``.npy`` format to ``path`` as given;
+        numpy appends no suffix to an open file."""
+        with open(path, "wb") as fh:
+            np.save(fh, self._matrix)
 
     @classmethod
     def load(cls, path) -> "Dictionary":
-        raw = Path(path).read_bytes()
-        if len(raw) < 16 or raw[:4] != _MAGIC:
-            raise ValueError(f"{path}: not a dictionary file (bad magic)")
-        version, n, m = struct.unpack("<III", raw[4:16])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        expected = 16 + 8 * n * m
-        if len(raw) != expected:
-            raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-        mat = np.frombuffer(raw, dtype="<f8", offset=16).reshape(n, m)
+        """Read a ``.npy`` matrix, as :meth:`save` or ``np.save`` writes it.
+        A file that is not a ``.npy`` array of real numbers (an ``.npz``
+        archive, a complex or object array, a truncated file) is a
+        ValueError that names the path."""
+        with open(path, "rb") as fh:
+            try:
+                mat = np.load(fh, allow_pickle=False)
+            except (ValueError, EOFError):
+                mat = None
+        if not isinstance(mat, np.ndarray) or mat.dtype.kind not in "fiu":
+            raise ValueError(f"{path}: not a .npy array of real numbers")
         return cls(mat)
-
-    @classmethod
-    def from_csv(cls, path) -> "Dictionary":
-        """Import a matrix from comma-separated text, one row per line."""
-        return cls(_load_text(path, delimiter=",", ndmin=2))
-
-
-def _load_text(path, **kwargs) -> np.ndarray:
-    """``np.loadtxt(path, **kwargs)``, refusing a file that holds no numbers
-    as malformed input instead of warning and returning an empty array."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        values = np.loadtxt(path, **kwargs)
-    if values.size == 0:
-        raise ValueError(f"{path}: holds no numbers")
-    return values
 
 
 # The task name each distortion kind poses, keyed by the kind's CLI spelling.

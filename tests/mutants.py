@@ -263,6 +263,36 @@ MUTANTS = (
         "dpotrf(a, lower=0, clean=0, overwrite_a=1)",
         ("tests/test_admm.py::test_ridge_factor_and_solve_are_scipys_bit_for_bit",),
     ),
+    Mutant(
+        "the shrink taking one ulp more off negative entries than off positive ones",
+        SOLVERS,
+        "    mag -= thresh\n",
+        "    mag -= np.where(v < 0.0, np.nextafter(thresh, np.inf), thresh)\n",
+        (
+            "tests/test_engine.py::test_scaled_negated_and_flipped_problems_solve_exactly_alike",
+            "tests/test_engine.py::test_engine_matches_the_reference_loop_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "the KKT support test written alpha > 0, so negative coefficients count as off it",
+        SOLVERS,
+        "alpha != 0.0, np.abs(grad",
+        "alpha > 0.0, np.abs(grad",
+        (
+            "tests/test_engine.py::test_scaled_negated_and_flipped_problems_solve_exactly_alike",
+            "tests/test_engine.py::test_engine_matches_the_reference_loop_on_generated_inputs",
+        ),
+    ),
+    Mutant(
+        "Dictionary.load without its refusal of arrays that are not real numbers",
+        OPERATORS,
+        'if not isinstance(mat, np.ndarray) or mat.dtype.kind not in "fiu":',
+        "if not isinstance(mat, np.ndarray):",
+        (
+            "tests/test_operators.py::test_load_rejects_corrupt_files",
+            "tests/test_robustness.py::test_bad_dictionary_files_exit_2_with_one_error_line",
+        ),
+    ),
 )
 
 

@@ -33,12 +33,17 @@ def _gen(tmp_path, *extra):
 
 def test_gen_writes_instance_directory(tmp_path):
     out = _gen(tmp_path, "--distortion", "clip:0.6")
-    for name in ("dictionary.bin", "alpha_true.txt", "x_clean.txt", "y.txt", "instance.json"):
+    for name in ("dictionary.npy", "alpha_true.txt", "x_clean.txt", "y.txt", "instance.json"):
         assert (out / name).exists()
     meta = json.loads((out / "instance.json").read_text())
     assert meta["n"] == 16
     assert meta["m"] == 32
     assert meta["distortion"] == "clip:0.6"
+    # the dictionary is a plain .npy file: numpy reads it back bit for bit
+    assert meta["files"]["dictionary"] == "dictionary.npy"
+    stored = np.load(out / "dictionary.npy", allow_pickle=False)
+    assert stored.shape == (16, 32)
+    assert stored.tobytes() == exps.gen_dictionary(3, 16, 32).matrix.tobytes()
     y = np.loadtxt(out / "y.txt")
     assert y.shape == (16,)
     assert float(np.max(np.abs(y))) <= 0.6
@@ -57,7 +62,7 @@ def test_solve_happy_path(tmp_path):
     result = tmp_path / "result.json"
     rc = main([
         "solve",
-        "--dict", str(out / "dictionary.bin"),
+        "--dict", str(out / "dictionary.npy"),
         "--observation", str(out / "y.txt"),
         "--distortion", "clip:0.6",
         "--solver", "fista",
@@ -72,27 +77,12 @@ def test_solve_happy_path(tmp_path):
     assert isinstance(blob["converged"], bool)
 
 
-def test_solve_reads_csv_dictionaries(tmp_path):
-    path = tmp_path / "dict.csv"
-    rng = np.random.Generator(np.random.PCG64(1))
-    mat = rng.standard_normal((4, 6))
-    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in mat) + "\n")
-    obs = tmp_path / "y.txt"
-    np.savetxt(obs, rng.standard_normal(4))
-    rc = main([
-        "solve", "--dict", str(path), "--observation", str(obs),
-        "--distortion", "clip:inf", "--max-iter", "50",
-        "--out", str(tmp_path / "r.json"),
-    ])
-    assert rc == 0
-
-
 def test_strict_solve_flags_non_convergence(tmp_path):
     out = _gen(tmp_path, "--distortion", "clip:0.6")
     result = tmp_path / "r.json"
     rc = main([
         "solve",
-        "--dict", str(out / "dictionary.bin"),
+        "--dict", str(out / "dictionary.npy"),
         "--observation", str(out / "y.txt"),
         "--distortion", "clip:0.6",
         "--max-iter", "2",
@@ -119,7 +109,7 @@ def test_solve_writes_valid_json_for_a_diverged_run(tmp_path, monkeypatch):
     result = tmp_path / "result.json"
     rc = main([
         "solve",
-        "--dict", str(out / "dictionary.bin"),
+        "--dict", str(out / "dictionary.npy"),
         "--observation", str(out / "y.txt"),
         "--distortion", "clip:0.5",
         "--out", str(result),
@@ -144,7 +134,7 @@ def test_admm_solve_reports_the_l1_norm_of_its_answer(tmp_path):
     result = tmp_path / "result.json"
     rc = main([
         "solve",
-        "--dict", str(out / "dictionary.bin"),
+        "--dict", str(out / "dictionary.npy"),
         "--observation", str(out / "y.txt"),
         "--distortion", "quant:4",
         "--solver", "admm",
@@ -166,7 +156,7 @@ def test_dimension_mismatch_exits_3(tmp_path):
     short = tmp_path / "short.txt"
     np.savetxt(short, np.zeros(8))
     rc = main([
-        "solve", "--dict", str(out / "dictionary.bin"),
+        "solve", "--dict", str(out / "dictionary.npy"),
         "--observation", str(short), "--distortion", "clip:inf",
         "--out", str(tmp_path / "r.json"),
     ])
@@ -176,7 +166,7 @@ def test_dimension_mismatch_exits_3(tmp_path):
 def test_inconsistent_observation_exits_2(tmp_path):
     out = _gen(tmp_path, "--distortion", "clip:0.6")
     rc = main([
-        "solve", "--dict", str(out / "dictionary.bin"),
+        "solve", "--dict", str(out / "dictionary.npy"),
         "--observation", str(out / "y.txt"),
         "--distortion", "clip:0.3",  # y has samples beyond 0.3
         "--out", str(tmp_path / "r.json"),
@@ -186,7 +176,7 @@ def test_inconsistent_observation_exits_2(tmp_path):
 
 def test_missing_file_exits_2(tmp_path):
     rc = main([
-        "solve", "--dict", str(tmp_path / "nope.bin"),
+        "solve", "--dict", str(tmp_path / "nope.npy"),
         "--observation", str(tmp_path / "nope.txt"),
         "--distortion", "clip:inf",
     ])
@@ -196,7 +186,7 @@ def test_missing_file_exits_2(tmp_path):
 def test_malformed_distortion_exits_2(tmp_path):
     out = _gen(tmp_path)
     rc = main([
-        "solve", "--dict", str(out / "dictionary.bin"),
+        "solve", "--dict", str(out / "dictionary.npy"),
         "--observation", str(out / "y.txt"),
         "--distortion", "blur:9",
         "--out", str(tmp_path / "r.json"),
@@ -380,7 +370,7 @@ def test_sweep_refuses_a_missing_output_directory_before_it_runs(
     monkeypatch.setattr("sparse_consist.cli.run_solver", never)
     inst = _gen(tmp_path)
     # solve gets a real instance, so that a missed check would reach the solve
-    inputs = ["--dict", str(inst / "dictionary.bin"), "--observation", str(inst / "y.txt")]
+    inputs = ["--dict", str(inst / "dictionary.npy"), "--observation", str(inst / "y.txt")]
     path = {
         "missing": str(tmp_path / "nodir" / "x.csv"),
         "directory": str(inst),
@@ -496,4 +486,4 @@ def test_module_entry_point_runs_as_subprocess(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
-    assert (tmp_path / "inst" / "dictionary.bin").exists()
+    assert (tmp_path / "inst" / "dictionary.npy").exists()

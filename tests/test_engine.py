@@ -109,6 +109,94 @@ def test_engine_matches_the_reference_loop_on_generated_inputs(problem, lam, tol
         )
 
 
+# How many binary orders of magnitude the values a scaled run reports keep
+# clear of the subnormal range and of overflow, so that the intermediate
+# values computed from them, which numpy's error state does not see in
+# Python floats, stay clear too.
+_HEADROOM = 100
+
+
+def _exact_scales(box, config, thresh, runs):
+    """The range of k for which scaling ``box``, lam and tol by 2**k keeps
+    every nonzero finite input and reported value, objectives scaled by
+    4**k, within the window of :data:`_HEADROOM`, clipped to +-200."""
+    lo, hi = -200, 200
+    groups = [(np.r_[box.lower, box.upper, config.lam, config.tol, thresh], 1)]
+    for alpha, trace in runs:
+        groups += [(np.r_[alpha, trace.kkt_residual_final], 1), (trace.objective_per_iter, 2)]
+    for values, weight in groups:
+        exponents = np.frexp(values[np.isfinite(values) & (values != 0.0)])[1]
+        if exponents.size:
+            lo = max(lo, -((exponents.min() + 1021 - _HEADROOM) // weight))
+            hi = min(hi, (1024 - _HEADROOM - exponents.max()) // weight)
+    return (int(lo), int(hi)) if lo <= 0 <= hi else (0, 0)
+
+
+def _exact(solver, dic, box, config):
+    """The solve, or None when numpy rounds a value into the subnormal
+    range or overflows, where a scaled twin may round differently."""
+    with np.errstate(under="raise", over="raise"):
+        try:
+            return solver(dic, box, config)
+        except FloatingPointError:
+            return None
+
+
+@given(
+    dictionaries().flatmap(lambda d: st.tuples(st.just(d), boxes(d.n))),
+    st.floats(0, 1),
+    st.sampled_from([0.0, 1e-5, 1e-2]),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_scaled_negated_and_flipped_problems_solve_exactly_alike(problem, lam, tol, data):
+    """Three relations that move only signs and powers of two, so that each
+    holds bit for bit in the answer, the objective history, the stop reason
+    and the iteration count: scaling the box, lam and tol by 2**k scales
+    the answer by 2**k and each objective by 4**k; negating the box
+    negates the answer; negating columns of D negates their coefficients.
+    The column flip leaves the Gram ``D D^T`` behind the step unchanged to
+    the bit when N <= M, as for every generated dictionary; for N > M it
+    changes signs in ``D^T D``, and the step is not proven to stay.
+    Rounding is symmetric in sign whatever the magnitudes, but scaling
+    commutes with it only between underflow and overflow: k is drawn,
+    nonzero where it can be, from the range the reported values allow, and
+    the scaling is checked only where neither run rounds a value to a
+    subnormal or an infinity."""
+    dic, iset = problem
+    try:
+        thresh = 1.0 / dic.estimate_lipschitz() * lam
+    except ValueError:
+        return  # no representable default step; the robustness suite covers it
+    assert dic.n <= dic.m
+    config = SolverConfig(lam=lam, max_iter=30, tol=tol)
+    solvers = (solve_ista, solve_fista)
+    exact = [_exact(solver, dic, iset, config) for solver in solvers]
+    runs = [run or solver(dic, iset, config) for solver, run in zip(solvers, exact)]
+    lo, hi = _exact_scales(iset, config, thresh, runs)
+    k = data.draw(st.sampled_from([j for j in range(lo, hi + 1) if j] or [0]), label="k")
+    sign = np.where(data.draw(st.lists(st.booleans(), min_size=dic.m, max_size=dic.m)), -1.0, 1.0)
+    scaled = IntervalSet(np.ldexp(iset.lower, k), np.ldexp(iset.upper, k))
+    scaled_config = SolverConfig(lam=math.ldexp(lam, k), max_iter=30, tol=math.ldexp(tol, k))
+    negated = IntervalSet(-iset.upper, -iset.lower)
+    flipped = Dictionary(dic.matrix * sign)
+    for solver, (alpha, trace), exact_run in zip(solvers, runs, exact):
+        objectives = trace.objective_per_iter
+        twins = [
+            (solver(dic, negated, config), -alpha, objectives),
+            (solver(flipped, iset, config), alpha * sign, objectives),
+        ]
+        if exact_run and (twin := _exact(solver, dic, scaled, scaled_config)):
+            twins.append((twin, np.ldexp(alpha, k), np.ldexp(objectives, 2 * k)))
+        for (got, got_trace), want, want_objectives in twins:
+            # zeros compare by value: which sign a zero keeps is no part of
+            # the answer, and a negated run may keep the other one
+            np.testing.assert_array_equal(got, want)
+            assert got_trace.objective_per_iter.tobytes() == want_objectives.tobytes()
+            assert got_trace.stop_reason == trace.stop_reason
+            assert got_trace.iterations_run == trace.iterations_run
+
+
 def _placed_at(matrix, offset):
     """A copy of ``matrix`` whose first entry sits ``offset`` bytes past a
     64-byte boundary."""
@@ -161,15 +249,13 @@ def test_blas_operands_start_on_a_cache_line(monkeypatch, tmp_path):
     monkeypatch.undo()
 
     data = np.random.default_rng(0).standard_normal((9, 13))
-    np.savetxt(tmp_path / "d.csv", data, delimiter=",")
-    dic.save(tmp_path / "d.bin")
+    dic.save(tmp_path / "d.npy")
     built = [
         Dictionary(data.tolist()),
         Dictionary(np.asfortranarray(data)),
         Dictionary(data[::2, 1::3]),
         Dictionary(data.astype(np.float32)),
-        Dictionary.load(tmp_path / "d.bin"),
-        Dictionary.from_csv(tmp_path / "d.csv"),
+        Dictionary.load(tmp_path / "d.npy"),
     ]
     assert all(_aligned(d.matrix) for d in built)
     assert _aligned(dic.ridge_cho_factor(1.0)[0])

@@ -13,6 +13,8 @@ from sparse_consist import Dictionary, DimensionMismatch, DistortionSpec
 from sparse_consist import operators
 from sparse_consist.operators import LIPSCHITZ_SAFETY, power_iteration_gram
 
+from test_robustness import BAD_DICTIONARY_FILES
+
 
 def _random_dictionary(seed, n=8, m=13):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -277,39 +279,25 @@ def test_ridge_factor_accepts_a_zero_atom():
 
 def test_binary_round_trip_is_bitwise(tmp_path):
     d = _random_dictionary(9, n=6, m=4)
-    path = tmp_path / "dict.bin"
+    path = tmp_path / "dict.npy"
     d.save(path)
-    back = Dictionary.load(path)
-    assert np.array_equal(back.matrix, d.matrix)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dict.npy"]
+    assert Dictionary.load(path).matrix.tobytes() == d.matrix.tobytes()
+    # any .npy matrix of reals loads as the dictionary it holds, whatever
+    # its memory order or float width
+    for array in (np.asfortranarray(d.matrix), d.matrix.astype(np.float32)):
+        np.save(path, array)
+        back = Dictionary.load(path).matrix
+        assert back.tobytes() == Dictionary(array).matrix.tobytes()
+        assert np.array_equal(back, array)
 
 
 def test_load_rejects_corrupt_files(tmp_path):
-    d = _random_dictionary(10, n=3, m=3)
-    path = tmp_path / "dict.bin"
-    d.save(path)
-    raw = path.read_bytes()
-
-    bad_magic = tmp_path / "bad_magic.bin"
-    bad_magic.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError, match="magic"):
-        Dictionary.load(bad_magic)
-
-    bad_version = tmp_path / "bad_version.bin"
-    bad_version.write_bytes(raw[:4] + b"\x63\x00\x00\x00" + raw[8:])
-    with pytest.raises(ValueError, match="version"):
-        Dictionary.load(bad_version)
-
-    truncated = tmp_path / "truncated.bin"
-    truncated.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="bytes"):
-        Dictionary.load(truncated)
-
-
-def test_csv_import(tmp_path):
-    path = tmp_path / "dict.csv"
-    path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
-    d = Dictionary.from_csv(path)
-    np.testing.assert_array_equal(d.matrix, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    for name, raw in BAD_DICTIONARY_FILES.items():
+        path = tmp_path / f"{name}.npy"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="real numbers" if name != "vector" else "2-D"):
+            Dictionary.load(path)
 
 
 # ----------------------------------------------------------------------

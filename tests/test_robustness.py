@@ -188,13 +188,36 @@ def bad_grids(draw, kind):
     return ",".join(entries)
 
 
+def _saved(save, array) -> bytes:
+    """The bytes ``save`` (``np.save`` or ``np.savez``) writes for ``array``."""
+    buf = io.BytesIO()
+    save(buf, array)
+    return buf.getvalue()
+
+
+# Files that are no dictionary, by name: what ``Dictionary.load`` refuses.
+# The old binary format (magic SPCD, then a uint32 version, N and M) is one.
+BAD_DICTIONARY_FILES = {
+    "garbage": b"1.0,2.0\n3.0,4.0\n",
+    "old_spcd": b"SPCD" + np.array([1, 1, 1], "<u4").tobytes() + np.ones(1).tobytes(),
+    "empty": b"",
+    "truncated": _saved(np.save, np.eye(3))[:-8],
+    "truncated_header": _saved(np.save, np.eye(3))[:20],
+    "npz": _saved(np.savez, np.eye(3)),
+    "complex": _saved(np.save, np.eye(3) * 1j),
+    "object": _saved(np.save, np.array([[1.0, None]], dtype=object)),
+    "text": _saved(np.save, np.array([["1.0", "2.0"]])),
+    "vector": _saved(np.save, np.ones(3)),
+}
+
+
 @pytest.fixture(scope="module")
 def instance():
     """Paths of a small dictionary and observation for ``solve``."""
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         rng = np.random.default_rng(0)
-        Dictionary(rng.standard_normal((4, 8))).save(d / "dictionary.bin")
+        Dictionary(rng.standard_normal((4, 8))).save(d / "dictionary.npy")
         np.savetxt(d / "y.txt", rng.uniform(-0.5, 0.5, size=4))
         yield d
 
@@ -217,8 +240,8 @@ def _assert_one_error_line(rc, err):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", ["", "\n\n", "# a comment and no numbers\n"])
 def test_input_files_without_numbers_exit_2_with_one_error_line(instance, tmp_path, text):
-    good = {"--dict": instance / "dictionary.bin", "--observation": instance / "y.txt"}
-    for flag, name in (("--observation", "y.txt"), ("--dict", "d.csv")):
+    good = {"--dict": instance / "dictionary.npy", "--observation": instance / "y.txt"}
+    for flag, name in (("--observation", "y.txt"), ("--dict", "d.npy")):
         path = tmp_path / name
         path.write_text(text)
         argv = ["solve", "--distortion", "clip:inf", "--out", str(tmp_path / "r.json")]
@@ -229,10 +252,24 @@ def test_input_files_without_numbers_exit_2_with_one_error_line(instance, tmp_pa
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_bad_dictionary_files_exit_2_with_one_error_line(instance, tmp_path):
+    for name, raw in BAD_DICTIONARY_FILES.items():
+        path = tmp_path / f"{name}.npy"
+        path.write_bytes(raw)
+        argv = ["solve", "--dict", str(path), "--observation", str(instance / "y.txt"),
+                "--distortion", "clip:inf", "--out", str(tmp_path / "r.json")]
+        rc, err = _run_cli(argv)
+        _assert_one_error_line(rc, err)
+        # a 1-D array is a .npy array of reals, which the constructor refuses
+        assert (str(path) in err) == (name != "vector"), err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_a_two_column_observation_exits_2_with_one_error_line(instance, tmp_path):
     path = tmp_path / "y2.txt"
     path.write_text("0.1 0.2\n0.3 0.4\n")
-    argv = ["solve", "--dict", str(instance / "dictionary.bin"), "--observation", str(path),
+    argv = ["solve", "--dict", str(instance / "dictionary.npy"), "--observation", str(path),
             "--distortion", "clip:inf", "--out", str(tmp_path / "r.json")]
     rc, err = _run_cli(argv)
     _assert_one_error_line(rc, err)
@@ -260,11 +297,11 @@ def test_fista_solves_on_a_dictionary_whose_rows_sum_to_zero():
 def test_malformed_distortions_exit_2_with_one_error_line(instance, descriptor):
     for argv in (
         ["gen", "--n", "4", "--m", "8", "--k-sparse", "1", "--out", str(instance / "gen")],
-        ["solve", "--dict", str(instance / "dictionary.bin"),
+        ["solve", "--dict", str(instance / "dictionary.npy"),
          "--observation", str(instance / "y.txt"), "--out", str(instance / "r.json")],
     ):
         _assert_one_error_line(*_run_cli([*argv, f"--distortion={descriptor}"]))
-    assert sorted(p.name for p in instance.iterdir()) == ["dictionary.bin", "y.txt"]
+    assert sorted(p.name for p in instance.iterdir()) == ["dictionary.npy", "y.txt"]
 
 
 @given(bad_grids("clip"), bad_grids("quant"))
@@ -279,4 +316,4 @@ def test_malformed_grids_exit_2_with_one_error_line(instance, clip_grid, quant_g
         ["dequant-bench", f"--grid={quant_grid}"],
     ):
         _assert_one_error_line(*_run_cli([*argv, *small]))
-    assert sorted(p.name for p in instance.iterdir()) == ["dictionary.bin", "y.txt"]
+    assert sorted(p.name for p in instance.iterdir()) == ["dictionary.npy", "y.txt"]
