@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, WorkerDied
+from .errors import WorkerDied
 from .feasibility import _as_vector, _count
 from .operators import Dictionary, DistortionSpec
 from .solvers import (
@@ -158,10 +158,8 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
 
 
 def sample_support(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
-    """k distinct indices from range(m), uniform, by partial Fisher-Yates."""
-    k = _count(k, "k", 1)
-    if k > m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    """k distinct indices from range(m), uniform, by partial Fisher-Yates.
+    The caller checks that k is an int from 1 to m."""
     idx = np.arange(m)
     for i in range(k):
         j = i + int(rng.integers(0, m - i))
@@ -212,11 +210,7 @@ def snr_db(reference, estimate) -> float:
     a mean.
     """
     reference = _as_vector(reference, "reference")
-    estimate = _as_vector(estimate, "estimate")
-    if reference.shape != estimate.shape:
-        raise DimensionMismatch(
-            f"reference has length {reference.shape[0]}, estimate {estimate.shape[0]}"
-        )
+    estimate = _as_vector(estimate, "estimate", reference.shape[0])
     for name, vec in (("reference", reference), ("estimate", estimate)):
         if not np.isfinite(vec).all():
             raise ValueError(f"{name} has non-finite entries")

@@ -20,10 +20,14 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
-def _as_vector(x, name: str = "x") -> np.ndarray:
+def _as_vector(x, name: str, length: int | None = None) -> np.ndarray:
+    """``x`` as a float64 vector: ValueError when it is not 1-D, and
+    DimensionMismatch when ``length`` is given and ``x`` has another."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+    if length is not None and arr.shape[0] != length:
+        raise DimensionMismatch(f"{name} has length {arr.shape[0]}, expected {length}")
     return arr
 
 
@@ -62,11 +66,7 @@ class IntervalSet:
 
     def __post_init__(self):
         lo = _as_vector(self.lower, "lower").copy()
-        hi = _as_vector(self.upper, "upper").copy()
-        if lo.shape != hi.shape:
-            raise DimensionMismatch(
-                f"lower and upper differ in length: {lo.shape[0]} vs {hi.shape[0]}"
-            )
+        hi = _as_vector(self.upper, "upper", lo.shape[0]).copy()
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError("interval bounds must not be NaN")
         if (lo > hi).any():
@@ -87,11 +87,7 @@ class IntervalSet:
     def project(self, x, out=None) -> np.ndarray:
         """Euclidean projection onto the set: an element-wise clamp, written
         into ``out`` when it is given (``out`` may be ``x`` itself)."""
-        x = _as_vector(x)
-        if x.shape[0] != len(self):
-            raise DimensionMismatch(
-                f"vector of length {x.shape[0]} does not match set of length {len(self)}"
-            )
+        x = _as_vector(x, "signal", len(self))
         return np.minimum(self.upper, np.maximum(self.lower, x, out=out), out=out)
 
     def grad_half_distance_sq(self, x, out=None) -> np.ndarray:

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .feasibility import IntervalSet, _as_vector, _real
 
 # The gradient step size 1 / L is only safe for L at or above ||D^T D||; the
@@ -193,21 +192,13 @@ class Dictionary:
     def synthesize(self, alpha, out=None) -> np.ndarray:
         """Signal-domain image ``D @ alpha`` of a coefficient vector, written
         into ``out`` when it is given."""
-        alpha = _as_vector(alpha, "alpha")
-        if alpha.shape[0] != self.m:
-            raise DimensionMismatch(
-                f"coefficient vector of length {alpha.shape[0]} does not match {self.m} atoms"
-            )
+        alpha = _as_vector(alpha, "alpha", self.m)
         return np.matmul(self._matrix, alpha, out=out)
 
     def correlate(self, r, out=None) -> np.ndarray:
         """Adjoint application ``D.T @ r``, written into ``out`` when it is
         given."""
-        r = _as_vector(r, "r")
-        if r.shape[0] != self.n:
-            raise DimensionMismatch(
-                f"signal vector of length {r.shape[0]} does not match signal dimension {self.n}"
-            )
+        r = _as_vector(r, "r", self.n)
         return np.matmul(self._matrix.T, r, out=out)
 
     def estimate_lipschitz(self) -> float:
@@ -282,17 +273,24 @@ class Dictionary:
     @classmethod
     def load(cls, path) -> "Dictionary":
         """Read a ``.npy`` matrix, as :meth:`save` or ``np.save`` writes it.
-        A file that is not a ``.npy`` array of real numbers (an ``.npz``
-        archive, a complex or object array, a truncated file) is a
-        ValueError that names the path."""
+        A file that is not one ``.npy`` array of real numbers (an ``.npz``
+        archive, a complex or object array, a truncated file, bytes after
+        the array), or whose array the constructor refuses, is a ValueError
+        that names the path."""
         with open(path, "rb") as fh:
             try:
                 mat = np.load(fh, allow_pickle=False)
             except (ValueError, EOFError):
                 mat = None
+            tail = fh.read(1)
         if not isinstance(mat, np.ndarray) or mat.dtype.kind not in "fiu":
             raise ValueError(f"{path}: not a .npy array of real numbers")
-        return cls(mat)
+        if tail:
+            raise ValueError(f"{path}: bytes follow the .npy array")
+        try:
+            return cls(mat)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # The task name each distortion kind poses, keyed by the kind's CLI spelling.
@@ -363,7 +361,7 @@ class DistortionSpec:
         the midriser bin centre ``delta * (floor(x / delta) + 1/2)`` clamped
         to the outermost level. Quantizer outputs are odd multiples of
         ``delta / 2``, so zero is never emitted."""
-        return self._map(_as_vector(x))
+        return self._map(_as_vector(x, "x"))
 
     def _map(self, x: np.ndarray) -> np.ndarray:
         # preimage calls this, not apply, so that a wrapper patched over

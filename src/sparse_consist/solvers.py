@@ -31,7 +31,6 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .feasibility import IntervalSet, _count, _real
 from .operators import Dictionary, _aligned_empty, _scipy_compiled
 
@@ -148,14 +147,6 @@ class AdmmConfig:
         object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter", 1))
 
 
-def _check_set_length(dictionary: Dictionary, iset: IntervalSet) -> None:
-    if len(iset) != dictionary.n:
-        raise DimensionMismatch(
-            f"feasibility set of length {len(iset)} does not match "
-            f"signal dimension {dictionary.n}"
-        )
-
-
 def _shrink(v: np.ndarray, thresh: float, mag: np.ndarray) -> float:
     """Soft-threshold v in place by thresh and return the l1 norm of the result.
 
@@ -198,7 +189,6 @@ def _fista_engine(
     reads so at the cap too. A non-finite objective stops the run at once
     and its iterate is returned.
     """
-    _check_set_length(dictionary, iset)
     lam, tol = config.lam, config.tol
     step = 1.0 / dictionary.estimate_lipschitz()
     thresh = step * lam
@@ -386,7 +376,6 @@ def solve_admm_constrained(
     outer iteration is then not recorded); ``converged`` on the combined
     primal/dual test; ``max_iter`` otherwise.
     """
-    _check_set_length(dictionary, iset)
     m = dictionary.m
     abs_floor = math.sqrt(m) * _OUTER_TOL
     bounds = np.abs(np.concatenate((iset.lower, iset.upper)))

@@ -293,6 +293,27 @@ MUTANTS = (
             "tests/test_robustness.py::test_bad_dictionary_files_exit_2_with_one_error_line",
         ),
     ),
+    Mutant(
+        "_as_vector's length test written arr.shape[0] > length, so a short vector passes",
+        FEASIBILITY,
+        "arr.shape[0] != length",
+        "arr.shape[0] > length",
+        (
+            "tests/test_feasibility.py::test_length_checks",
+            "tests/test_solvers.py::test_all_solvers_reject_mismatched_set_length",
+        ),
+    ),
+    Mutant(
+        "Dictionary.load without its refusal of bytes after the array",
+        OPERATORS,
+        "        if tail:\n"
+        '            raise ValueError(f"{path}: bytes follow the .npy array")\n',
+        "",
+        (
+            "tests/test_operators.py::test_load_rejects_corrupt_files",
+            "tests/test_robustness.py::test_bad_dictionary_files_exit_2_with_one_error_line",
+        ),
+    ),
 )
 
 

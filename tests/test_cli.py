@@ -151,16 +151,21 @@ def test_admm_solve_reports_the_l1_norm_of_its_answer(tmp_path):
 # error exit codes
 
 
-def test_dimension_mismatch_exits_3(tmp_path):
+def test_dimension_mismatch_exits_3(tmp_path, capsys):
     out = _gen(tmp_path, "--distortion", "clip:0.6")
     short = tmp_path / "short.txt"
     np.savetxt(short, np.zeros(8))
-    rc = main([
-        "solve", "--dict", str(out / "dictionary.npy"),
-        "--observation", str(short), "--distortion", "clip:inf",
-        "--out", str(tmp_path / "r.json"),
-    ])
-    assert rc == 3
+    capsys.readouterr()
+    for solver in ("ista", "fista", "admm"):
+        rc = main([
+            "solve", "--dict", str(out / "dictionary.npy"),
+            "--observation", str(short), "--distortion", "clip:inf",
+            "--solver", solver, "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 3
+        # one line naming the signal dimension, 16, and the box's length, 8
+        assert capsys.readouterr().err == "error: signal has length 16, expected 8\n", solver
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_inconsistent_observation_exits_2(tmp_path):

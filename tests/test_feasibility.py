@@ -15,6 +15,7 @@ from sparse_consist import (
     IntervalSet,
     certificate,
     operators,
+    snr_db,
 )
 
 
@@ -270,10 +271,21 @@ def test_interior_point_has_zero_gradient():
 
 
 def test_length_checks():
-    s = IntervalSet(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    for method in (s.project, s.grad_half_distance_sq):
-        with pytest.raises(DimensionMismatch):
-            method(np.zeros(3))
+    # one rule for every vector a caller passes: a short or long one raises
+    # DimensionMismatch naming its length and the expected one
+    d = Dictionary(np.ones((3, 5)))
+    s = IntervalSet(np.zeros(4), np.ones(4))
+    for use, expected in (
+        (d.synthesize, 5),
+        (d.correlate, 3),
+        (s.project, 4),
+        (s.grad_half_distance_sq, 4),
+        (lambda v: IntervalSet(np.zeros(4), v), 4),
+        (lambda v: snr_db(np.ones(4), v), 4),
+    ):
+        for length in (expected - 1, expected + 1):
+            with pytest.raises(DimensionMismatch, match=f"length {length}, expected {expected}$"):
+                use(np.ones(length))
 
 
 @given(interval_sets(), st.data())

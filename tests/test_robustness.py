@@ -195,8 +195,9 @@ def _saved(save, array) -> bytes:
     return buf.getvalue()
 
 
-# Files that are no dictionary, by name: what ``Dictionary.load`` refuses.
-# The old binary format (magic SPCD, then a uint32 version, N and M) is one.
+# Files that are no dictionary, by name: what ``Dictionary.load`` refuses,
+# with a ValueError that names the path. The old binary format (magic
+# SPCD, then a uint32 version, N and M) is one.
 BAD_DICTIONARY_FILES = {
     "garbage": b"1.0,2.0\n3.0,4.0\n",
     "old_spcd": b"SPCD" + np.array([1, 1, 1], "<u4").tobytes() + np.ones(1).tobytes(),
@@ -208,6 +209,9 @@ BAD_DICTIONARY_FILES = {
     "object": _saved(np.save, np.array([[1.0, None]], dtype=object)),
     "text": _saved(np.save, np.array([["1.0", "2.0"]])),
     "vector": _saved(np.save, np.ones(3)),
+    "nan": _saved(np.save, np.array([[1.0, np.nan]])),
+    "trailing": _saved(np.save, np.eye(2)) + np.ones(5).tobytes(),
+    "two_arrays": _saved(np.save, np.eye(2)) * 2,
 }
 
 
@@ -261,8 +265,7 @@ def test_bad_dictionary_files_exit_2_with_one_error_line(instance, tmp_path):
                 "--distortion", "clip:inf", "--out", str(tmp_path / "r.json")]
         rc, err = _run_cli(argv)
         _assert_one_error_line(rc, err)
-        # a 1-D array is a .npy array of reals, which the constructor refuses
-        assert (str(path) in err) == (name != "vector"), err
+        assert err.startswith(f"error: {path}: "), err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -152,11 +152,11 @@ def test_converged_run_reports_convergence():
 
 def test_all_solvers_reject_mismatched_set_length():
     dic, _, _ = _clip_instance(29)
-    wrong = IntervalSet(np.zeros(dic.n + 1), np.ones(dic.n + 1))
-    with pytest.raises(DimensionMismatch):
-        solve_ista(dic, wrong)
-    with pytest.raises(DimensionMismatch):
-        solve_fista(dic, wrong)
+    for length in (dic.n - 1, dic.n + 1):
+        wrong = IntervalSet(np.zeros(length), np.ones(length))
+        for use in (solve_ista, solve_fista, lambda d, s: certificate(d, s, np.zeros(d.m), 0.1)):
+            with pytest.raises(DimensionMismatch, match=f"length {dic.n}, expected {length}$"):
+                use(dic, wrong)
 
 
 def test_unconstrained_box_gives_zero_solution():
